@@ -21,9 +21,9 @@ RA008  shm confinement: ``SharedMemory`` is constructed/attached only
        inside ``repro/backends/operand_store.py`` — everything else
        handles descriptors through the store API
 RA009  accumulator confinement: ``HashAccumulator``/``DenseAccumulator``
-       are constructed only through ``make_accumulator`` (owners:
-       ``repro/core/accumulators.py``, ``repro/core/hybrid_spgemm.py``)
-       so capacity-hint sizing has one auditable site
+       are constructed only through ``make_accumulator`` (owner:
+       ``repro/core/accumulators.py``) so capacity-hint sizing has one
+       auditable site
 =====  ===============================================================
 
 Path scoping matches *consecutive path components* (``repro/engine``),
@@ -57,7 +57,6 @@ KERNEL_FUNCTIONS = frozenset(
         "tiled_spgemm",
         "hybrid_spgemm",
         "vectorized_cluster_spgemm",
-        "vectorized_rowwise_spgemm",
         "threaded_spgemm_rowwise",
     }
 )
@@ -605,14 +604,10 @@ class AccumulatorConfinementRule(Rule):
     id = "RA009"
     title = "accumulators are constructed only through make_accumulator"
 
-    #: The modules allowed to construct accumulator classes directly:
-    #: the factory itself and the hybrid kernel's per-bin dispatch (its
-    #: numeric phases *are* the accumulator strategies).  Only *calls*
-    #: are flagged — re-exports (``repro.core.__init__``) stay legal.
-    _OWNERS = (
-        ("repro", "core", "accumulators.py"),
-        ("repro", "core", "hybrid_spgemm.py"),
-    )
+    #: The module allowed to construct accumulator classes directly:
+    #: the factory itself.  Only *calls* are flagged — re-exports
+    #: (``repro.core.__init__``) stay legal.
+    _OWNERS = (("repro", "core", "accumulators.py"),)
     _CLASSES = frozenset({"DenseAccumulator", "HashAccumulator"})
 
     def applies_to(self, ctx: FileContext) -> bool:

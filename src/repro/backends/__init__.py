@@ -5,7 +5,7 @@ One :class:`ExecutionBackend` contract, four built-in backends behind it:
 ============  ========================================================
 ``reference``  the pure-python registry kernels — the bitwise oracle
 ``scipy``      native CSR matmul fast path (pattern-identical, allclose)
-``vectorized`` numpy batch-cluster numeric phase (bitwise, ``cluster``)
+``vectorized`` numpy-batched numeric phases (bitwise; cluster, rowwise/hybrid)
 ``sharded``    process-pool row/cluster shards over any inner backend
 ============  ========================================================
 
@@ -20,6 +20,7 @@ kernel-dispatch path** of the codebase — both
 
 from __future__ import annotations
 
+import atexit
 from typing import Any, Iterable, Mapping
 
 from .base import ExecutionBackend, ExecutionContext
@@ -41,6 +42,7 @@ __all__ = [
     "BUILTIN_BACKENDS",
     "register_builtin_backends",
     "get_backend",
+    "close_all",
     "parse_backend",
     "backend_supports",
     "require_backend_supports",
@@ -117,6 +119,25 @@ def get_backend(name: str, params: "Iterable[tuple[str, Any]] | Mapping[str, Any
         inst = info.factory(**info.resolve_params(canon))
         _INSTANCES[(name, canon)] = inst
     return inst
+
+
+def close_all() -> None:
+    """Close and forget every memoised backend that owns resources.
+
+    Instances with a ``close()`` (``sharded``: its worker pool and shm
+    segments) are closed and dropped from the memo, so the next
+    :func:`get_backend` builds a fresh one; stateless backends stay
+    memoised.  Registered ``atexit``, so memoised pools never outlive
+    the interpreter's orderly shutdown.
+    """
+    for key, inst in list(_INSTANCES.items()):
+        close = getattr(inst, "close", None)
+        if close is not None:
+            del _INSTANCES[key]
+            close()
+
+
+atexit.register(close_all)
 
 
 def parse_backend(value) -> tuple[str, tuple[tuple[str, Any], ...]]:

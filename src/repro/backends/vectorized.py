@@ -19,12 +19,11 @@ bit-identical to the reference cluster kernel, and this backend declares
 separately from the padding mask (``np.logical_or.at``), so padded slots
 never create output entries — same as the reference.
 
-The ``rowwise`` kernel is served by the blocked dense-scatter numeric
-phase of :mod:`repro.core.hybrid_spgemm` (one ordered ``np.add.at`` per
-row panel — the same sequential-application argument as above), and the
-``hybrid`` kernel is executed directly: its bin executors are already
-the batched numpy phases this backend exists for.  All three paths are
-bitwise-identical to the reference.
+The ``rowwise`` and ``hybrid`` kernels are both served by the two-phase
+row-binned numeric phase of :mod:`repro.core.hybrid_spgemm` (batched
+merge for short rows, blocked ``np.add.at`` scatter panels for long
+ones — the same sequential-application argument as above).  Every path
+is bitwise-identical to the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .base import ExecutionBackend, ExecutionContext
 
-__all__ = ["VectorizedBackend", "vectorized_cluster_spgemm", "vectorized_rowwise_spgemm"]
+__all__ = ["VectorizedBackend", "vectorized_cluster_spgemm"]
 
 
 def vectorized_cluster_spgemm(Ac, B, *, restore_order: bool = False):
@@ -99,25 +98,6 @@ def vectorized_cluster_spgemm(Ac, B, *, restore_order: bool = False):
     return C
 
 
-#: All rows in the catch-all scatter bin: the blocked ``np.add.at``
-#: dense panel *is* the whole numeric phase.
-_SCATTER_ONLY = ((-1, "scatter"),)
-
-
-def vectorized_rowwise_spgemm(A, B):
-    """Batch-vectorised row-wise ``A @ B`` — the PR 3 tail.
-
-    Runs the hybrid kernel's blocked dense-scatter executor over every
-    row: one ordered ``np.add.at`` scatter-accumulate per row panel
-    instead of the reference kernel's per-row python loop.  Bitwise-
-    identical to :func:`~repro.core.spgemm.spgemm_rowwise` (sequential
-    unbuffered application in stream order; columns emitted ascending).
-    """
-    from ..core.hybrid_spgemm import hybrid_spgemm
-
-    return hybrid_spgemm(A, B, bin_map=_SCATTER_ONLY)
-
-
 class VectorizedBackend(ExecutionBackend):
     """numpy batch-vectorised numeric phases (cluster / rowwise / hybrid)."""
 
@@ -153,15 +133,12 @@ class VectorizedBackend(ExecutionBackend):
             # restore_order=True returns the operand's row order, matching
             # the reference cluster kernel's contract.
             return vectorized_cluster_spgemm(operand.Ac, B, restore_order=True)
-        if kernel == "rowwise":
-            # The accumulator parameter is irrelevant here: every
-            # accumulator is bitwise-identical and the scatter panel IS
-            # the dense one.
-            return vectorized_rowwise_spgemm(operand.Ar, B)
-        if kernel == "hybrid":
+        if kernel in ("rowwise", "hybrid"):
             from ..core.hybrid_spgemm import hybrid_spgemm
 
-            return hybrid_spgemm(operand.Ar, B, **kernel_params)
+            # Every ladder is bitwise-identical to spgemm_rowwise, so the
+            # rowwise kernel's accumulator parameter changes nothing here.
+            return hybrid_spgemm(operand.Ar, B, bin_map=kernel_params.get("bin_map"))
         raise ValueError(
             f"vectorized backend supports {self.supported_kernels}, got kernel {kernel!r}"
         )

@@ -1,35 +1,33 @@
 """Row-binned hybrid SpGEMM numeric phase (DESIGN.md §15).
 
 Individual rows of ``A @ B`` differ by orders of magnitude in flops and
-upper-bound output nonzeros, so any single accumulator choice leaves
-part of the matrix on a slow path (Nagasaka et al., the paper's
-accumulator reference [40], bin rows by workload for exactly this
-reason).  This module computes per-row workloads in one O(nnz)
-vectorised symbolic pre-pass, bins rows into a small fixed ladder, and
-executes each bin with the numeric phase best suited to its size:
+upper-bound output nonzeros, so no single numeric phase suits every row
+(Nagasaka et al., the paper's accumulator reference [40], bin rows by
+workload for exactly this reason).  This module computes per-row
+workloads in one O(nnz) vectorised symbolic pre-pass and splits the rows
+between two batched numpy phases:
 
-* ``empty``   — rows with no contributions; emitted without work.
 * ``merge``   — batched sorted-array merge: the whole bin's contribution
   stream reduced by one ``np.unique`` over combined ``row * ncols + col``
   keys (the vectorised analogue of the per-row ``"sort"`` accumulator).
-* ``hash``    — per-row :class:`~repro.core.accumulators.HashAccumulator`
-  sized from the symbolic upper bound (never rehashes mid-row).
-* ``dense``   — per-row :class:`~repro.core.accumulators.DenseAccumulator`
-  (dense SPA with touched-list reset), shared across the bin's rows.
+  Cheap for short rows, however many there are.
 * ``scatter`` — blocked dense scatter: one ordered ``np.add.at`` over a
-  ``(rows_per_block, ncols)`` dense panel — the vectorised row-wise
-  numeric phase, also exposed standalone through the ``vectorized``
-  execution backend's ``rowwise`` support.
+  ``(rows_per_block, ncols)`` dense panel.  Cheap for long rows, whose
+  panel rows are well filled.
 
-**Bitwise contract.**  Every bin reproduces ``spgemm_rowwise`` exactly:
+This is the one vectorised row-wise numeric phase: the ``vectorized``
+execution backend serves both its ``rowwise`` and ``hybrid`` kernels
+with it.
+
+**Bitwise contract.**  Both phases reproduce ``spgemm_rowwise`` exactly:
 each output element's contributions are added in the reference stream
 order (rows ascending; within a row, ``A``'s columns in CSR order, each
-expanded to its ``B`` row), because ``np.bincount`` with weights,
-``np.add.at`` and sequential hash inserts all accumulate their input in
-index order, and every bin emits columns ascending.  Mixing bins only
-partitions rows, so the assembled matrix is bit-identical to
-``spgemm_rowwise(A, B)`` whatever the bin map — the property
-:mod:`tests.test_hybrid_spgemm` asserts per bin and whole-matrix.
+expanded to its ``B`` row), because ``np.bincount`` with weights and
+``np.add.at`` accumulate their input in index order, and both phases
+emit columns ascending.  Mixing bins only partitions rows, so the
+assembled matrix is bit-identical to ``spgemm_rowwise(A, B)`` whatever
+the bin map — the property :mod:`tests.test_hybrid_spgemm` asserts per
+phase and whole-matrix.
 
 The bin map is a tuple of ``(edge, kind)`` pairs: ``edge`` is the
 inclusive upper bound on a row's upper-bound nnz (``min(row_flops,
@@ -44,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accumulators import make_accumulator
 from .csr import CSRMatrix, _concat_ranges
 
 __all__ = [
@@ -58,19 +55,13 @@ __all__ = [
 ]
 
 #: Numeric phases a bin can dispatch to.
-BIN_KINDS = ("empty", "merge", "hash", "dense", "scatter")
+BIN_KINDS = ("merge", "scatter")
 
 #: The default ladder: inclusive upper-bound-nnz edges -> numeric phase.
-#: ``-1`` is the catch-all.  Short rows go to the batched merge (their
-#: cost is per-row python overhead, which batching removes), mid rows to
-#: the classical SPAs, and heavy rows to the blocked dense scatter.
-DEFAULT_BIN_MAP: tuple[tuple[int, str], ...] = (
-    (0, "empty"),
-    (128, "merge"),
-    (512, "hash"),
-    (2048, "dense"),
-    (-1, "scatter"),
-)
+#: ``-1`` is the catch-all.  Rows with at most 512 output nonzeros
+#: (zero-work rows included) go to the batched merge, the rest to the
+#: blocked dense scatter.
+DEFAULT_BIN_MAP: tuple[tuple[int, str], ...] = ((512, "merge"), (-1, "scatter"))
 
 #: Dense-entry budget of one scatter block (``rows_per_block * ncols``).
 _SCATTER_BLOCK_ENTRIES = 1 << 22
@@ -81,13 +72,11 @@ class HybridStats:
     """Per-bin work accounting of one hybrid execution.
 
     ``rows`` / ``flops`` map bin kind -> rows dispatched / multiply-adds
-    performed; ``hash_probes`` counts slot inspections in the hash bin
-    (the accumulator-irregularity measure the paper discusses).
+    performed.
     """
 
     rows: dict[str, int] = field(default_factory=dict)
     flops: dict[str, int] = field(default_factory=dict)
-    hash_probes: int = 0
 
     def counters(self) -> dict[str, int]:
         """Flat counter projection (sorted keys) for
@@ -99,8 +88,6 @@ class HybridStats:
         for kind in sorted(self.flops):
             if self.flops[kind]:
                 out[f"hybrid_bin_flops.{kind}"] = self.flops[kind]
-        if self.hash_probes:
-            out["hybrid_hash_probes"] = self.hash_probes
         return out
 
 
@@ -117,11 +104,9 @@ def validate_bin_map(bin_map) -> tuple[tuple[int, str], ...]:
         raise ValueError(f"bin_map must be (edge, kind) pairs, got {bin_map!r}") from None
     if not bm:
         raise ValueError("bin_map must have at least one bin")
-    for edge, kind in bm:
+    for _edge, kind in bm:
         if kind not in BIN_KINDS:
             raise ValueError(f"unknown bin kind {kind!r}; expected one of {BIN_KINDS}")
-        if kind == "empty" and edge != 0:
-            raise ValueError("'empty' bins emit no work, so only edge 0 may use them")
     edges = [e for e, _ in bm]
     if edges[-1] != -1:
         raise ValueError("the last bin edge must be -1 (the catch-all)")
@@ -183,6 +168,7 @@ def _run_merge(A, B, b_lens, rows, row_flops):
     columns ascending (the canonical CSR order), and ``np.bincount``
     adds each key's weights in stream order — the reference per-row
     ``unique``/``bincount`` reduction, one call for the whole bin.
+    Zero-work rows contribute no keys and come out empty.
     """
     m = B.ncols
     gcols, gvals = _gather(A, B, b_lens, rows)
@@ -194,46 +180,8 @@ def _run_merge(A, B, b_lens, rows, row_flops):
     return ukeys % m, vals, counts
 
 
-def _run_spa(A, B, b_lens, rows, row_ub, kind, stats):
-    """Per-row SPA loop (``hash`` / ``dense`` bins).
-
-    The hash accumulator is sized from each row's symbolic upper bound,
-    so it never rehashes mid-row; the dense SPA is built once and reset
-    between rows (reset cost is proportional to the touched set).
-    """
-    m = B.ncols
-    acc = make_accumulator("dense", m) if kind == "dense" else None
-    cols_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    counts = np.zeros(rows.size, dtype=np.int64)
-    for j, i in enumerate(rows.tolist()):
-        ks = A.row_cols(i)
-        if ks.size == 0:
-            continue
-        lens = b_lens[ks]
-        take = _concat_ranges(B.indptr[ks], lens)
-        gcols = B.indices[take]
-        gvals = B.values[take] * np.repeat(A.row_vals(i), lens)
-        if kind == "hash":
-            acc = make_accumulator("hash", m, capacity_hint=int(row_ub[j]))
-        acc.accumulate(gcols, gvals)
-        cols, vals = acc.extract()
-        if kind == "hash":
-            if stats is not None:
-                stats.hash_probes += acc.probes
-        else:
-            acc.reset()
-        cols_parts.append(cols)
-        vals_parts.append(vals)
-        counts[j] = cols.size
-    if not cols_parts:
-        return np.zeros(0, np.int64), np.zeros(0, np.float64), counts
-    return np.concatenate(cols_parts), np.concatenate(vals_parts), counts
-
-
 def _run_scatter(A, B, b_lens, rows, row_flops):
-    """Blocked dense scatter over one bin (the vectorised row-wise
-    numeric phase).
+    """Blocked dense scatter over one bin.
 
     Rows are processed in panels of ``_SCATTER_BLOCK_ENTRIES / ncols``
     rows; one ``np.add.at`` per panel applies the panel's whole
@@ -264,6 +212,9 @@ def _run_scatter(A, B, b_lens, rows, row_flops):
     return np.concatenate(cols_parts), np.concatenate(vals_parts), counts
 
 
+_PHASES = {"merge": _run_merge, "scatter": _run_scatter}
+
+
 def hybrid_spgemm(
     A: CSRMatrix,
     B: CSRMatrix,
@@ -271,7 +222,7 @@ def hybrid_spgemm(
     bin_map=None,
     stats: HybridStats | None = None,
 ) -> CSRMatrix:
-    """Compute ``C = A @ B`` with per-bin accumulator dispatch.
+    """Compute ``C = A @ B`` with per-bin numeric-phase dispatch.
 
     Parameters
     ----------
@@ -301,14 +252,9 @@ def hybrid_spgemm(
         if stats is not None:
             stats.rows[kind] = stats.rows.get(kind, 0) + int(rows.size)
             stats.flops[kind] = stats.flops.get(kind, 0) + int(flops[rows].sum())
-        if rows.size == 0 or kind == "empty":
+        if rows.size == 0:
             continue
-        if kind == "merge":
-            cols, vals, rcounts = _run_merge(A, B, b_lens, rows, flops[rows])
-        elif kind in ("hash", "dense"):
-            cols, vals, rcounts = _run_spa(A, B, b_lens, rows, ub[rows], kind, stats)
-        else:  # scatter
-            cols, vals, rcounts = _run_scatter(A, B, b_lens, rows, flops[rows])
+        cols, vals, rcounts = _PHASES[kind](A, B, b_lens, rows, flops[rows])
         counts[rows] = rcounts
         parts.append((rows, cols, vals))
 

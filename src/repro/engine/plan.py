@@ -47,6 +47,10 @@ def backend_label_suffix(backend: str, backend_params: tuple = ()) -> str:
 
 _ACCUMULATORS = ("sort", "dense", "hash")
 
+#: Hybrid bin kinds of earlier ladders (the per-row SPA bins and the
+#: zero-work bin), mapped to the default ladder on load.
+_RETIRED_BIN_KINDS = frozenset({"empty", "hash", "dense"})
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -96,7 +100,8 @@ class ExecutionPlan:
         a row's symbolic output-nnz bound, ``-1`` the catch-all, and
         ``kind`` the numeric phase.  Recorded so a cached plan replays
         the exact same per-bin dispatch; ``()`` for kernels without one
-        (plans persisted before the hybrid kernel load unchanged).
+        (plans persisted before the hybrid kernel load unchanged, and a
+        ladder naming a retired bin kind loads as the default ladder).
     calibration_epoch:
         Epoch of the :class:`~repro.engine.adaptive.CalibrationTable`
         whose measured backend factors ranked this plan; ``0`` means
@@ -249,6 +254,13 @@ class ExecutionPlan:
         d["backend_params"] = tuple((str(k), v) for k, v in d.get("backend_params", ()))
         # Plans persisted before the hybrid kernel carry no bin_map.
         d["bin_map"] = tuple((int(e), str(k)) for e, k in d.get("bin_map", ()))
+        if any(k in _RETIRED_BIN_KINDS for _, k in d["bin_map"]):
+            # Every ladder is bitwise-identical, so a ladder naming a
+            # retired bin replays on the default ladder with the same
+            # result (only faster) instead of failing validation.
+            from ..core.hybrid_spgemm import DEFAULT_BIN_MAP
+
+            d["bin_map"] = DEFAULT_BIN_MAP
         return cls(**d)
 
     def to_json(self) -> str:

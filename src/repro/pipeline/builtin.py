@@ -116,7 +116,7 @@ def tiled_kernel(operand, B, *, tile_cols: int = 256):
 
 
 def hybrid_kernel(operand, B, *, bin_map=None, stats=None):
-    """Row-binned hybrid SpGEMM: per-bin accumulator dispatch (DESIGN.md §15)."""
+    """Row-binned hybrid SpGEMM: merge / scatter per row bin (DESIGN.md §15)."""
     from ..core.hybrid_spgemm import hybrid_spgemm
 
     return hybrid_spgemm(operand.Ar, B, bin_map=bin_map, stats=stats)  # repro: allow[RA001] registry kernel wrapper: this IS the callable backends.execute dispatches

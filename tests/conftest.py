@@ -29,6 +29,22 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(autouse=True)
+def _close_memoised_backends():
+    """Close memoised resource-owning backends after every test.
+
+    ``...@sharded`` specs resolve through the process-wide
+    ``get_backend`` memo, whose worker pools and shm segments would
+    otherwise stay resident until exit and show up in later tests'
+    ``leaked_segments()`` probes.  A no-op when no such backend was
+    resolved.
+    """
+    yield
+    from repro.backends import close_all
+
+    close_all()
+
+
 # ----------------------------------------------------------------------
 # Deterministic builders
 # ----------------------------------------------------------------------

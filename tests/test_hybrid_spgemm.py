@@ -1,12 +1,14 @@
 """The row-binned hybrid kernel (DESIGN.md §15): bitwise identity.
 
-The hybrid kernel's contract is that *every* numeric phase — batched
-merge, per-row hash SPA, shared dense SPA, blocked vectorised scatter —
-reproduces :func:`repro.core.spgemm_rowwise` bit for bit, so any row
-partition induced by a bin ladder is bitwise-invisible.  Properties
-here force each phase to carry whole matrices (single-bin ladders),
-mix phases with random tiny ladders, sweep every registry-compatible
-(reordering, clustering) pipeline, and pin the degenerate shapes.
+The hybrid kernel's contract is that both numeric phases — batched
+merge and blocked vectorised scatter — reproduce
+:func:`repro.core.spgemm_rowwise` bit for bit, so any row partition
+induced by a bin ladder is bitwise-invisible.  Properties here force
+each phase to carry whole matrices (single-bin ladders), mix phases
+with random tiny ladders and every split threshold, sweep every
+registry-compatible (reordering, clustering) pipeline, and pin the
+degenerate shapes and the replay of plans persisted with retired bin
+kinds.
 """
 
 import numpy as np
@@ -14,28 +16,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_bitwise_equal, square_csr
-from repro.core import (
-    COOMatrix,
-    CSRMatrix,
-    DEFAULT_BIN_MAP,
+from repro.core import COOMatrix, CSRMatrix, DEFAULT_BIN_MAP, hybrid_spgemm, spgemm_rowwise
+from repro.core.hybrid_spgemm import (
+    BIN_KINDS,
     HybridStats,
-    hybrid_spgemm,
+    assign_bins,
     row_workloads,
-    spgemm_rowwise,
     validate_bin_map,
 )
-from repro.core.hybrid_spgemm import BIN_KINDS, assign_bins
 from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, enumerate_compatible
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 #: Single-phase ladders: the whole matrix rides one numeric phase.
-SINGLE_KIND_MAPS = {kind: ((-1, kind),) for kind in ("merge", "hash", "dense", "scatter")}
+SINGLE_KIND_MAPS = {kind: ((-1, kind),) for kind in BIN_KINDS}
 
-#: A ladder with every bin kind populated at tiny edges, so small
-#: hypothesis matrices still hit several phases at once.
-TINY_LADDER = ((0, "empty"), (2, "merge"), (4, "hash"), (8, "dense"), (-1, "scatter"))
+#: A ladder alternating both kinds at tiny edges, so small hypothesis
+#: matrices still switch phase several times within one product.
+TINY_LADDER = ((0, "scatter"), (2, "merge"), (4, "scatter"), (8, "merge"), (-1, "scatter"))
 
 
 # ----------------------------------------------------------------------
@@ -62,12 +61,21 @@ def test_random_ladders_bitwise_identical(data):
     A = data.draw(square_csr())
     n_bins = data.draw(st.integers(1, 4))
     edges = sorted(data.draw(st.sets(st.integers(0, 20), min_size=n_bins, max_size=n_bins)))
-    kinds = [
-        data.draw(st.sampled_from(["merge", "hash", "dense", "scatter"]))
-        for _ in range(n_bins + 1)
-    ]
+    kinds = [data.draw(st.sampled_from(BIN_KINDS)) for _ in range(n_bins + 1)]
     bin_map = tuple(zip(edges, kinds[:-1])) + ((-1, kinds[-1]),)
     C = hybrid_spgemm(A, A, bin_map=bin_map)
+    assert_bitwise_equal(C, spgemm_rowwise(A, A))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_split_threshold_bitwise_identical(data):
+    # Thresholds 0 .. ncols+1 cover "everything scatters" through
+    # "everything merges" (upper-bound nnz never exceeds ncols).
+    A = data.draw(square_csr())
+    threshold = data.draw(st.integers(0, A.ncols + 1))
+    first, rest = data.draw(st.permutations(BIN_KINDS))
+    C = hybrid_spgemm(A, A, bin_map=((threshold, first), (-1, rest)))
     assert_bitwise_equal(C, spgemm_rowwise(A, A))
 
 
@@ -144,18 +152,17 @@ def test_row_workloads_match_bruteforce(A):
 
 
 def test_assign_bins_edges_are_inclusive():
-    bin_map = ((0, "empty"), (4, "merge"), (-1, "hash"))
+    bin_map = ((0, "scatter"), (4, "merge"), (-1, "scatter"))
     ub = np.array([0, 1, 4, 5, 100], dtype=np.int64)
-    kinds = [bin_map[i][1] for i in assign_bins(ub, bin_map)]
-    assert kinds == ["empty", "merge", "merge", "hash", "hash"]
+    assert assign_bins(ub, bin_map).tolist() == [0, 1, 1, 2, 2]
 
 
 # ----------------------------------------------------------------------
 # Bin-map validation
 # ----------------------------------------------------------------------
 def test_validate_bin_map_normalises():
-    bm = validate_bin_map([[0, "empty"], [8, "merge"], [-1, "scatter"]])
-    assert bm == ((0, "empty"), (8, "merge"), (-1, "scatter"))
+    bm = validate_bin_map([[0, "scatter"], [8, "merge"], [-1, "scatter"]])
+    assert bm == ((0, "scatter"), (8, "merge"), (-1, "scatter"))
     assert set(k for _, k in bm) <= set(BIN_KINDS)
 
 
@@ -165,10 +172,11 @@ def test_validate_bin_map_normalises():
         (),  # empty
         ((8, "merge"),),  # last edge not -1
         ((-1, "warp"),),  # unknown kind
-        ((3, "empty"), (-1, "merge")),  # "empty" above edge 0
-        ((8, "merge"), (4, "hash"), (-1, "scatter")),  # edges not increasing
-        ((8, "merge"), (8, "hash"), (-1, "scatter")),  # duplicate edge
-        ((-1, "merge"), (8, "hash")),  # catch-all not last
+        ((0, "empty"), (-1, "merge")),  # retired kind (plans map it on load)
+        ((512, "hash"), (-1, "scatter")),  # retired kind
+        ((8, "merge"), (4, "scatter"), (-1, "merge")),  # edges not increasing
+        ((8, "merge"), (8, "scatter"), (-1, "merge")),  # duplicate edge
+        ((-1, "merge"), (8, "scatter")),  # catch-all not last
     ],
 )
 def test_validate_bin_map_rejects(bad):
@@ -204,6 +212,40 @@ def test_old_plan_dict_without_bin_map_loads():
     d = ExecutionPlan(reordering="original", clustering=None, kernel="rowwise").to_dict()
     del d["bin_map"]
     assert ExecutionPlan.from_dict(d).bin_map == ()
+
+
+#: The default ladder plans persisted before the per-row SPA bins and
+#: the zero-work bin were retired, in its JSON (list) form.
+LEGACY_BIN_MAP = [[0, "empty"], [128, "merge"], [512, "hash"], [2048, "dense"], [-1, "scatter"]]
+
+
+def test_legacy_ladder_plan_loads_from_disk_and_replays_bitwise(tmp_path, monkeypatch):
+    import json
+    import warnings
+
+    from repro.engine import ExecutionPlan, SpGEMMEngine
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    d = PipelineSpec.parse("rcm+fixed:8+hybrid").to_plan().to_dict()
+    d["bin_map"] = LEGACY_BIN_MAP
+    assert ExecutionPlan.from_dict(d).bin_map == DEFAULT_BIN_MAP
+
+    # Through the persisted plan cache: a legacy entry is a hit, not a
+    # "corrupt" discard, and the replayed product is bitwise.
+    A = G.web_graph(120, seed=4)
+    SpGEMMEngine(pipeline="rcm+fixed:8+hybrid", persist_plans=True).multiply(A)
+    (path,) = tmp_path.rglob("plan_*.json")
+    envelope = json.loads(path.read_text())
+    envelope["plan"]["bin_map"] = LEGACY_BIN_MAP
+    path.write_text(json.dumps(envelope))
+    eng = SpGEMMEngine(pipeline="rcm+fixed:8+hybrid", persist_plans=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = eng.multiply(A)
+    assert eng.plan_cache.disk_hits == 1
+    assert eng.plan_for(A).bin_map == DEFAULT_BIN_MAP
+    assert_bitwise_equal(C, spgemm_rowwise(A, A))
 
 
 def test_engine_executes_hybrid_pipeline_bitwise():
@@ -250,14 +292,16 @@ def test_stats_counters_absent_without_tracer():
 
 
 # ----------------------------------------------------------------------
-# Satellite: the vectorized backend's standalone rowwise path
+# The vectorized backend: rowwise and hybrid share the one row-wise phase
 # ----------------------------------------------------------------------
-@given(square_csr())
-@settings(max_examples=30, deadline=None)
-def test_vectorized_rowwise_bitwise_identical(A):
-    from repro.backends.vectorized import vectorized_rowwise_spgemm
-
-    assert_bitwise_equal(vectorized_rowwise_spgemm(A, A), spgemm_rowwise(A, A))
+def test_vectorized_rowwise_and_hybrid_bitwise_on_both_sides_of_default_edge():
+    A = G.rmat(10, edge_factor=8, seed=0)
+    _, ub = row_workloads(A, A)
+    edge = DEFAULT_BIN_MAP[0][0]
+    assert (ub <= edge).any() and (ub > edge).any()  # both phases carry rows
+    ref = spgemm_rowwise(A, A)
+    for spec in ("rowwise@vectorized", "hybrid@vectorized"):
+        assert_bitwise_equal(PipelineSpec.parse(spec).run(A, A), ref)
 
 
 def test_vectorized_backend_runs_rowwise_and_hybrid_specs():
