@@ -13,7 +13,10 @@ bitwise against the row-wise reference, and gates two numbers:
 * ``summary.hybrid_vs_best_single_geomean`` — geomean over both suites
   of hybrid's speedup against the **best** single kernel per matrix
   (row-wise or cluster-wise, whichever won there); the acceptance bar
-  is >= 1.15.
+  is >= 1.15.  ``cluster`` is the registered kernel, i.e. the
+  numpy-batched cluster phase, so on the cluster side hybrid is gated
+  against the fastest bitwise implementation; ``rowwise`` is still the
+  pure-python reference.
 * ``summary.bitwise_mismatches`` — count of kernel and ladder
   executions whose output was not bit-identical to
   ``spgemm_rowwise``; must be 0.

@@ -10,7 +10,7 @@ Reproduces, executably, the schematic figures of the paper:
 
 then runs every SpGEMM variant, shows the declarative pipeline-spec API
 naming whole configurations (including the ``@backend`` execution axis:
-scipy / vectorized / sharded executors behind one contract), and shows
+reference / scipy / sharded executors behind one contract), and shows
 hierarchical clustering speeding up a scrambled block matrix on the
 simulated machine.
 
@@ -81,9 +81,9 @@ def main() -> None:
 
     print("\n=== Execution backends: '@' picks how the pipeline runs ===")
     for text in (
-        "rcm+variable+cluster@vectorized",       # numpy-batched, still bitwise
-        "rcm+variable+cluster@scipy",            # native matmul, allclose
-        "rcm+variable+cluster@sharded:workers=2",  # process-pool row shards
+        "rcm+variable+cluster",                  # in-process reference, bitwise
+        "rcm+variable+rowwise@scipy",            # native matmul, allclose
+        "rcm+variable+cluster@sharded:workers=2",  # process-pool cluster shards
     ):
         spec = PipelineSpec.parse(text)
         C = spec.run(A)

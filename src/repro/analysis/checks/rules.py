@@ -49,14 +49,17 @@ from .registry_scan import (
 
 __all__ = ["ALL_RULES", "default_rules"]
 
-#: The kernel entry points behind :func:`repro.backends.execute`.
+#: The kernel entry points behind :func:`repro.backends.execute`: the
+#: functions the registered kernels wrap (``rowwise``, ``cluster``,
+#: ``tiled``, ``hybrid``), the pure-python cluster oracle and the
+#: machine model's threaded row-wise kernel.
 KERNEL_FUNCTIONS = frozenset(
     {
         "spgemm_rowwise",
+        "vectorized_cluster_spgemm",
         "cluster_spgemm",
         "tiled_spgemm",
         "hybrid_spgemm",
-        "vectorized_cluster_spgemm",
         "threaded_spgemm_rowwise",
     }
 )

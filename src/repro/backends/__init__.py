@@ -1,16 +1,16 @@
 """``repro.backends`` — the execution-backend API.
 
-One :class:`ExecutionBackend` contract, four built-in backends behind it:
+One :class:`ExecutionBackend` contract, three built-in backends behind
+it, each a different computation:
 
-============  ========================================================
-``reference``  the pure-python registry kernels — the bitwise oracle
-``scipy``      native CSR matmul fast path (pattern-identical, allclose)
-``vectorized`` numpy-batched numeric phases (bitwise; cluster, rowwise/hybrid)
+=============  ========================================================
+``reference``  the registry kernels in-process — the bitwise oracle
+``scipy``      native CSR matmul, ``rowwise`` only (pattern-identical, allclose)
 ``sharded``    process-pool row/cluster shards over any inner backend
-============  ========================================================
+=============  ========================================================
 
 Backends are registry components (``kind="backend"``), so they share the
-parameter-schema machinery, spec addressing (``rcm+fixed:8+cluster@scipy``,
+parameter-schema machinery, spec addressing (``rcm+fixed:8+rowwise@scipy``,
 ``...@sharded:workers=4,inner=scipy``) and planner capability queries
 with reorderings/clusterings/kernels.  :func:`execute` is the **single
 kernel-dispatch path** of the codebase — both
@@ -27,17 +27,14 @@ from .base import ExecutionBackend, ExecutionContext
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend, scipy_available
 from .sharded import ShardedBackend, ShardOperand
-from .vectorized import VectorizedBackend, vectorized_cluster_spgemm
 
 __all__ = [
     "ExecutionBackend",
     "ExecutionContext",
     "ReferenceBackend",
     "ScipyBackend",
-    "VectorizedBackend",
     "ShardedBackend",
     "ShardOperand",
-    "vectorized_cluster_spgemm",
     "scipy_available",
     "BUILTIN_BACKENDS",
     "register_builtin_backends",
@@ -55,7 +52,7 @@ __all__ = [
 #: valid, reference-only registry.
 BUILTIN_BACKENDS: tuple[type[ExecutionBackend], ...] = tuple(
     cls
-    for cls in (ReferenceBackend, ScipyBackend, VectorizedBackend, ShardedBackend)
+    for cls in (ReferenceBackend, ScipyBackend, ShardedBackend)
     if cls is not ScipyBackend or scipy_available()
 )
 

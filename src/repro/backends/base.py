@@ -4,9 +4,9 @@
 A *backend* is how a planned SpGEMM configuration actually runs.  The
 paper's thesis — restructure the same computation for locality — is
 backend-independent: a pipeline names *what* to compute (reordering,
-clustering, kernel dataflow), the backend names *how* (pure-python
-reference loops, scipy's native CSR matmul, a numpy-batched numeric
-phase, a process-pool of row shards).  Separating the two is what lets
+clustering, kernel dataflow), the backend names *how* (the in-process
+registry kernels, scipy's native CSR matmul, a process-pool of row
+shards).  Separating the two is what lets
 the engine run "as fast as the hardware allows" (ROADMAP) while keeping
 one correctness oracle.
 

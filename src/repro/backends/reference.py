@@ -1,10 +1,10 @@
 """The ``reference`` backend — the bitwise correctness oracle.
 
-Dispatches to the registered pure-python kernel components
-(:mod:`repro.pipeline.builtin`), which are the paper's algorithms
-implemented exactly as written.  Every other backend is validated
-against this one: pattern-identical always, bit-identical when it
-claims :attr:`~repro.backends.base.ExecutionBackend.bitwise_reference`.
+Dispatches in-process to the registered kernel components
+(:mod:`repro.pipeline.builtin`), each bitwise-identical to the row-wise
+reference.  Every other backend is validated against this one:
+pattern-identical always, bit-identical when it claims
+:attr:`~repro.backends.base.ExecutionBackend.bitwise_reference`.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ __all__ = ["ReferenceBackend"]
 
 
 class ReferenceBackend(ExecutionBackend):
-    """Pure-python kernels via the pipeline registry (the oracle)."""
+    """Registry kernels, in-process (the oracle)."""
 
     name: ClassVar[str] = "reference"
     parallelism: ClassVar[str] = "serial"
     planner_rank: ClassVar[int | None] = 0
     model_speed_factor: ClassVar[float] = 1.0
-    description: ClassVar[str] = "pure-python registry kernels (the bitwise correctness oracle)"
+    description: ClassVar[str] = "in-process registry kernels (the bitwise correctness oracle)"
 
     @property
     def bitwise_reference(self) -> bool:

@@ -9,11 +9,13 @@ output sparsity pattern is identical to row-wise SpGEMM.  Values are
 ``allclose`` but not bitwise: scipy's per-row accumulation order differs,
 so this backend declares ``bitwise_reference=False``.
 
-The backend accepts every kernel: kernels only restructure the *order*
-of the same multiply-adds, and the contract (product in the operand's
-row order) is defined by ``operand.Ar`` regardless of dataflow.  It is
-registered only when scipy imports, so environments without scipy keep a
-valid (reference-only) backend registry.
+scipy runs one dataflow, so the backend supports only the ``rowwise``
+kernel: naming ``cluster`` or ``hybrid`` would run the same ``A @ B``
+under another label (and pay for a ``CSR_Cluster`` build scipy never
+reads).  The planner's ``backend_supports`` filter therefore yields one
+scipy candidate per reordering.  The backend is registered only when
+scipy imports, so environments without scipy keep a valid
+(reference-only) backend registry.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class ScipyBackend(ExecutionBackend):
     @property
     def bitwise_reference(self) -> bool:
         return False
+
+    @property
+    def supported_kernels(self) -> tuple[str, ...] | None:
+        return ("rowwise",)
 
     def execute(
         self,

@@ -3,8 +3,8 @@
 Splits the prepared operand into contiguous shards with
 :func:`~repro.machine.parallel.balanced_contiguous_partition` (the same
 prefix-sum splitter the simulated machine schedules with), executes each
-shard through an *inner* backend — any of ``reference`` / ``scipy`` /
-``vectorized`` — and stitches the row blocks back together.  Because
+shard through an *inner* backend — ``reference`` or ``scipy`` — and
+stitches the row blocks back together.  Because
 row-wise and tiled SpGEMM compute each output row independently, and
 cluster-wise SpGEMM computes each *cluster* independently, sharding at
 those boundaries reproduces the inner backend's output exactly: the
@@ -477,8 +477,7 @@ class ShardedBackend(ExecutionBackend):
         :func:`effective_cores`; ``0`` means "auto" (every effective
         core); an effective width of ``1`` executes the inner backend
         directly.  ``inner``: the backend each shard executes through,
-        as a name or a parameterised spec (``"scipy"``,
-        ``"vectorized:..."``)."""
+        as a name or a parameterised spec (``"scipy"``)."""
         from . import parse_backend
 
         self.workers = max(0, int(workers))
@@ -570,12 +569,7 @@ class ShardedBackend(ExecutionBackend):
                     continue
                 c0, c1 = int(chunk[0]), int(chunk[-1]) + 1
                 rows = Ac.row_ids[Ac.cluster_ptr[c0] : Ac.cluster_ptr[c1]]
-                # The CSR slice rides along in cluster-local row order so
-                # inner backends that consume ``operand.Ar`` (scipy) see
-                # the same rows the cluster shard computes, in the same
-                # order.
-                Ar_shard = operand.Ar.extract_rows(rows) if operand.Ar is not None else None
-                shards.append((ShardOperand(Ar=Ar_shard, Ac=_slice_cluster(Ac, c0, c1)), rows))
+                shards.append((ShardOperand(Ar=None, Ac=_slice_cluster(Ac, c0, c1)), rows))
             return shards, True
         Ar = operand.Ar
         b_lens = np.diff(B.indptr)

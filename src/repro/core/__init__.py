@@ -5,7 +5,9 @@ Public surface:
 * :class:`~repro.core.coo.COOMatrix`, :class:`~repro.core.csr.CSRMatrix`,
   :class:`~repro.core.csr_cluster.CSRCluster` — storage formats.
 * :func:`~repro.core.spgemm.spgemm_rowwise` — Gustavson row-wise SpGEMM.
-* :func:`~repro.core.cluster_spgemm.cluster_spgemm` — paper Alg. 1.
+* :func:`~repro.core.cluster_spgemm.cluster_spgemm` — paper Alg. 1, and
+  :func:`~repro.core.cluster_spgemm.vectorized_cluster_spgemm`, its
+  bitwise-identical numpy-batched form (the ``cluster`` kernel).
 * :func:`~repro.core.hybrid_spgemm.hybrid_spgemm` — row-binned numeric
   phase (batched merge / blocked scatter, DESIGN.md §15).
 * :func:`~repro.core.topk.spgemm_topk_similarity` — paper Alg. 3's
@@ -13,7 +15,12 @@ Public surface:
 """
 
 from .accumulators import DenseAccumulator, HashAccumulator, make_accumulator
-from .cluster_spgemm import ClusterSpGEMMStats, cluster_spgemm, padded_flops
+from .cluster_spgemm import (
+    ClusterSpGEMMStats,
+    cluster_spgemm,
+    padded_flops,
+    vectorized_cluster_spgemm,
+)
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csr_cluster import CSRCluster
@@ -40,6 +47,7 @@ __all__ = [
     "tiled_spgemm",
     "cluster_spgemm",
     "padded_flops",
+    "vectorized_cluster_spgemm",
     "DEFAULT_BIN_MAP",
     "hybrid_spgemm",
     "CandidatePairs",

@@ -15,9 +15,8 @@ between two batched numpy phases:
   ``(rows_per_block, ncols)`` dense panel.  Cheap for long rows, whose
   panel rows are well filled.
 
-This is the one vectorised row-wise numeric phase: the ``vectorized``
-execution backend serves both its ``rowwise`` and ``hybrid`` kernels
-with it.
+This is the one vectorised row-wise numeric phase: the registered
+``hybrid`` kernel runs it on every bitwise backend.
 
 **Bitwise contract.**  Both phases reproduce ``spgemm_rowwise`` exactly:
 each output element's contributions are added in the reference stream

@@ -1,7 +1,7 @@
 """Adaptive runtime: measured calibration + drift-triggered re-planning.
 
 The engine's planners rank execution backends with a static
-``model_speed_factor`` capability *hint* (scipy 0.35, vectorized 0.7 —
+``model_speed_factor`` capability *hint* (scipy 0.35, sharded 0.6 —
 DESIGN.md §10).  ``BENCH_backends.json`` shows how far hints drift from
 reality on a concrete host (scipy is ~60× the reference, not ~3×), and
 that the ``sharded`` break-even point is strongly size-dependent.  This

@@ -810,7 +810,9 @@ class SpGEMMEngine:
             t = self.machine.run_clusterwise(prep.Ac, Bx).time
         else:
             t = self.machine.run_rowwise(prep.Ar, Bx).time
-        factor = self.planner._backend_factor(plan.backend, kernel=plan.kernel, A=prep.Ar)
+        factor = self.planner._backend_factor(
+            plan.backend, kernel=plan.kernel, A=prep.Ar, params=plan.backend_params
+        )
         return t * k_info.model_speed_factor * factor
 
     def _observe_drift(

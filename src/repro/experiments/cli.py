@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments.cli all --suite full
     python -m repro.experiments.cli engine --matrix pdb1 --policy autotune --iters 5
     python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster
-    python -m repro.experiments.cli engine --pipeline rcm+fixed:8+cluster@scipy
+    python -m repro.experiments.cli engine --pipeline rcm+fixed:8+rowwise@scipy
     python -m repro.experiments.cli engine --backend sharded:workers=2
     python -m repro.experiments.cli pipelines      # registered components
     python -m repro.experiments.cli serve --port 7077          # long-lived service
@@ -155,7 +155,7 @@ def engine_demo(args) -> str:
     amortisation ledger and plan-cache behaviour (the ``engine`` command).
 
     ``--pipeline`` pins an explicit declarative spec (e.g.
-    ``rcm+fixed:8+cluster@scipy``) instead of searching with
+    ``rcm+fixed:8+rowwise@scipy``) instead of searching with
     ``--policy``; ``--backend`` pins (or, with ``auto``, opens up) the
     execution backend the planner may choose.  ``--calibrate``
     micro-benchmarks the registered backends first and plans with the
@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help="explicit pipeline spec for the engine command, e.g. rcm+fixed:8+cluster"
-        " or rcm+fixed:8+cluster@scipy "
+        " or rcm+fixed:8+rowwise@scipy "
         "(overrides --policy; see the pipelines command for components)",
     )
     parser.add_argument(

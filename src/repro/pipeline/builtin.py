@@ -13,7 +13,7 @@ registries to the unified one.
   from :data:`PARAM_EXTRAS`.
 * **Kernels** are :class:`~repro.pipeline.registry.KernelBackend`
   wrappers over :func:`~repro.core.spgemm.spgemm_rowwise`,
-  :func:`~repro.core.cluster_spgemm.cluster_spgemm`,
+  :func:`~repro.core.cluster_spgemm.vectorized_cluster_spgemm`,
   :func:`~repro.core.tiled_spgemm.tiled_spgemm` and
   :func:`~repro.core.hybrid_spgemm.hybrid_spgemm`.  Each returns the
   product in the *operand's* row order and preserves per-row summation
@@ -100,12 +100,14 @@ def rowwise_kernel(operand, B, *, accumulator: str = "sort"):
 def cluster_kernel(operand, B):
     """Cluster-wise SpGEMM (paper Alg. 1) over the ``CSR_Cluster`` operand.
 
+    Runs the numpy-batched cluster phase, bitwise-identical to the
+    pure-python :func:`~repro.core.cluster_spgemm.cluster_spgemm`.
     ``restore_order=True`` scatters rows back to the operand's row order
     so the caller's single inverse gather restores the original order.
     """
-    from ..core.cluster_spgemm import cluster_spgemm
+    from ..core.cluster_spgemm import vectorized_cluster_spgemm
 
-    return cluster_spgemm(operand.Ac, B, restore_order=True)  # repro: allow[RA001] registry kernel wrapper: this IS the callable backends.execute dispatches
+    return vectorized_cluster_spgemm(operand.Ac, B, restore_order=True)  # repro: allow[RA001] registry kernel wrapper: this IS the callable backends.execute dispatches
 
 
 def tiled_kernel(operand, B, *, tile_cols: int = 256):

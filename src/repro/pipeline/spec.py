@@ -19,8 +19,8 @@ is omitted from the canonical string form).  Examples::
 
     rcm+hierarchical:max_th=8+cluster     # ISSUE acceptance spec
     rcm+fixed:8+cluster                   # positional param (cluster_size)
-    rcm+fixed:8+cluster@scipy             # same pipeline, scipy backend
-    fixed:8+cluster@sharded:workers=4,inner=vectorized
+    rcm+rowwise@scipy                     # row-wise on the scipy backend
+    fixed:8+cluster@sharded:workers=4     # cluster shards on 4 processes
     original+none+rowwise                 # the baseline, fully spelled
     rabbit+tiled:tile_cols=128            # reordered tiled SpGEMM
 
@@ -30,11 +30,11 @@ alias-resolved, type-coerced and stored in schema order at construction.
 ``spec.build(A)`` materialises the pipeline (reorder → cluster →
 operand formats) and ``spec.run(A, B)`` executes it through the spec's
 backend.  Under a backend whose registry entry claims
-``bitwise_reference`` (``reference``, ``vectorized``, ``sharded`` over a
-bitwise inner) the product is **bitwise-identical** to
-``spgemm_rowwise(A, B)``: permutations gather whole rows and the
-execution preserves per-row summation order, so only row placement
-changes — and is inverted at the end.  Non-bitwise backends (``scipy``)
+``bitwise_reference`` (``reference``, ``sharded`` over a bitwise inner)
+the product is **bitwise-identical** to ``spgemm_rowwise(A, B)``:
+permutations gather whole rows and the execution preserves per-row
+summation order, so only row placement changes — and is inverted at the
+end.  Non-bitwise backends (``scipy``)
 return the identical sparsity pattern with ``allclose`` values.
 """
 

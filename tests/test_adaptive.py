@@ -128,7 +128,7 @@ def test_table_factor_exact_fallback_and_absent():
     fallback = table.factor("scipy", "rowwise", n=100, nnz_row=2, density=0.5)
     assert fallback == pytest.approx((0.02 * 0.08) ** 0.5)
     # Never calibrated at all → None (caller keeps the static hint).
-    assert table.factor("vectorized", "cluster", n=500, nnz_row=8, density=0.02) is None
+    assert table.factor("sharded", "cluster", n=500, nnz_row=8, density=0.02) is None
     # Degenerate persisted factors never win a ranking: a non-positive
     # exact entry is ignored (geomean fallback / static hint instead).
     bad = CalibrationTable(entries={"scipy|rowwise|s1r1d1": 0.0})
@@ -198,8 +198,9 @@ def calibration_table():
 def test_calibrator_measures_planner_ranked_backends(calibration_table):
     backends = {key.split("|")[0] for key in calibration_table.entries}
     assert "scipy" in backends  # the test env has scipy
-    assert "vectorized" in backends
     assert "reference" not in backends  # the unit everything is relative to
+    # Only pairs the planner can pick are measured: scipy runs rowwise alone.
+    assert not any(key.startswith("scipy|cluster|") for key in calibration_table.entries)
     assert all(v > 0 for v in calibration_table.entries.values())
     assert calibration_table.epoch == 1
     # Re-calibrating against a previous table advances the epoch.
@@ -395,6 +396,69 @@ def test_multiply_many_probes_once_per_batch(gainful_matrix):
     eng.multiply_many(A, frontiers)
     eng.multiply_many(A, frontiers)
     assert eng.stats().drift_probes == 2
+
+
+def test_no_drift_for_a_pinned_parameterised_backend(monkeypatch, gainful_matrix):
+    # The drift probe must price the executed plan with the same
+    # configuration-specific calibration rows the planner predicted
+    # with (not the bare name's static hint), or an unchanged operand
+    # reads as drifted.
+    from repro.backends.sharded import INPROCESS_ENV
+
+    monkeypatch.setenv(INPROCESS_ENV, "1")  # numerics only; pools are covered elsewhere
+    A = gainful_matrix
+    table = CalibrationTable(
+        entries={f"sharded:workers=2|{k}|s1r1d1": 0.2 for k in ("rowwise", "cluster", "hybrid")}
+    )
+    eng = SpGEMMEngine(
+        policy="autotune",
+        config=SMALL_CFG,
+        backend="sharded:workers=2",
+        calibration=table,
+        drift_threshold=1.2,
+    )
+    for _ in range(6):
+        assert_bitwise_equal(eng.multiply(A), spgemm_rowwise(A, A))
+    s = eng.stats()
+    assert s.drift_probes == 6
+    assert s.drift_detected == 0 and s.replans == 0
+    assert eng.drift_state(A)["last_ratio"] == pytest.approx(1.0)
+
+
+def test_calibration_rows_of_retired_pairs_load_but_are_never_consulted(tmp_path, monkeypatch):
+    # Tables measured when ``vectorized`` existed and scipy ran every
+    # kernel still load unchanged; the planner never looks those rows up.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    retired = {
+        "vectorized|cluster|s1r1d1": 1e-6,
+        "vectorized|rowwise|s1r1d1": 1e-6,
+        "scipy|cluster|s1r1d1": 1e-6,
+        "scipy|hybrid|s1r1d1": 1e-6,
+    }
+    CalibrationTable(entries={**retired, "scipy|rowwise|s1r1d1": 0.05}, epoch=4).save()
+    table = CalibrationTable.load()
+    assert table is not None and retired.items() <= table.entries.items()
+
+    consulted = []
+    real_factor = CalibrationTable.factor
+
+    def spy(self, backend, kernel, **kw):
+        consulted.append((backend, kernel))
+        return real_factor(self, backend, kernel, **kw)
+
+    monkeypatch.setattr(CalibrationTable, "factor", spy)
+    A = G.web_graph(160, seed=5)
+    ref = spgemm_rowwise(A, A)
+    for policy in ("heuristic", "autotune", "predictor"):
+        eng = SpGEMMEngine(policy=policy, config=SMALL_CFG, backend="auto", calibration=table)
+        C = eng.multiply(A)
+        assert C.same_pattern(ref) and C.allclose(ref)
+        plan = eng.plan_for(A)
+        assert plan.backend in ("reference", "scipy")
+        assert plan.backend == "reference" or plan.kernel == "rowwise"
+    assert ("scipy", "rowwise") in consulted
+    assert all(b in ("scipy", "sharded") and (b != "scipy" or k == "rowwise") for b, k in consulted)
 
 
 def test_drift_state_is_read_only_and_workload_keyed(gainful_matrix):

@@ -333,7 +333,7 @@ class TestStaticRegistryScan:
         from repro.pipeline import PipelineSpec
 
         uni = load_universe(REPO_ROOT)
-        valid = ["rcm+fixed:8+cluster", "original+none+rowwise", "rcm+fixed:8+cluster@scipy"]
+        valid = ["rcm+fixed:8+cluster", "original+none+rowwise", "rcm+fixed:8+rowwise@scipy"]
         for text in valid:
             assert validate_spec(text, uni) == []
             PipelineSpec.parse(text)  # and the runtime agrees

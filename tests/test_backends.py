@@ -7,6 +7,7 @@ import pytest
 
 from repro.backends import (
     ExecutionContext,
+    ShardOperand,
     backend_supports,
     execute,
     get_backend,
@@ -29,13 +30,10 @@ def _bitwise(C):
 # Registry entries and capability tags
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered_with_capabilities():
-    names = available_components("backend")
-    assert names[0] == "reference"
-    assert {"reference", "vectorized", "sharded"} <= set(names)
+    # One backend per distinct computation.
+    assert available_components("backend") == ["reference", "scipy", "sharded"]
     ref = get_component("backend", "reference")
     assert ref.bitwise_reference and ref.supported_kernels is None
-    vec = get_component("backend", "vectorized")
-    assert vec.bitwise_reference and vec.supported_kernels == ("cluster", "rowwise", "hybrid")
     sh = get_component("backend", "sharded")
     assert sh.parallelism == "process"
     assert sh.planner_rank is None  # composite: pinned explicitly, never searched
@@ -47,6 +45,8 @@ def test_scipy_backend_registered_when_scipy_importable():
 
     info = get_component("backend", "scipy")
     assert not info.bitwise_reference  # allclose + identical pattern only
+    # scipy runs one dataflow, whatever the kernel is called.
+    assert info.supported_kernels == ("rowwise",)
     assert info.model_speed_factor < 1.0
     assert info.planner_rank is not None
 
@@ -64,14 +64,14 @@ def test_get_backend_memoises_per_canonical_params():
 
 def test_parse_backend_and_supports():
     assert parse_backend("scipy") == ("scipy", ())
-    name, params = parse_backend("sharded:workers=4,inner=vectorized")
-    assert name == "sharded" and dict(params) == {"workers": 4, "inner": "vectorized"}
+    name, params = parse_backend("sharded:workers=4,inner=scipy")
+    assert name == "sharded" and dict(params) == {"workers": 4, "inner": "scipy"}
     # Instance-level compatibility: sharded answers from its inner.
-    assert backend_supports("sharded", params, "cluster")
-    assert backend_supports("sharded", params, "rowwise")  # vectorized rowwise path
-    assert not backend_supports("sharded", params, "tiled")
-    assert backend_supports("sharded", (), "rowwise")  # inner=reference
-    assert not backend_supports("vectorized", (), "tiled")
+    assert backend_supports("sharded", params, "rowwise")
+    assert not backend_supports("sharded", params, "cluster")
+    assert not backend_supports("sharded", params, "hybrid")
+    assert backend_supports("sharded", (), "cluster")  # inner=reference
+    assert not backend_supports("scipy", (), "tiled")
 
 
 def test_sharded_rejects_self_nesting():
@@ -92,10 +92,10 @@ def test_describe_lists_backends():
 # ----------------------------------------------------------------------
 def test_spec_backend_round_trip():
     for s in (
-        "rcm+fixed:8+cluster@scipy",
+        "rcm+fixed:8+rowwise@scipy",
         "rcm+fixed:8+cluster@sharded:workers=2",
-        "original+variable+cluster@sharded:workers=2,inner=vectorized",
-        "rcm+hierarchical:max_th=8+cluster@vectorized",
+        "original+variable+rowwise@sharded:workers=2,inner=scipy",
+        "rcm+hierarchical:max_th=8+cluster@sharded",
     ):
         spec = PipelineSpec.parse(s)
         assert PipelineSpec.parse(str(spec)) == spec
@@ -132,9 +132,9 @@ def test_spec_backend_errors():
         PipelineSpec.parse("rcm+scipy")
     # Backend–kernel incompatibility is a construction error.
     with pytest.raises(ValueError, match="support"):
-        PipelineSpec.parse("rcm+tiled@vectorized")
+        PipelineSpec.parse("rcm+fixed:8+cluster@scipy")
     with pytest.raises(ValueError, match="support"):
-        PipelineSpec(kernel="tiled", backend="sharded", backend_params=(("inner", "vectorized"),))
+        PipelineSpec(kernel="hybrid", backend="sharded", backend_params=(("inner", "scipy"),))
 
 
 def test_spec_with_backend_and_label():
@@ -144,9 +144,10 @@ def test_spec_with_backend_and_label():
     # Labels carry backend params so distinct configurations stay
     # distinct in the engine ledger.
     assert s2.label.endswith("@sharded:workers=4")
-    assert spec.with_backend("scipy").label.endswith("@scipy")
     assert spec.label == "rcm+fixed/cluster"
-    assert spec.bitwise and s2.bitwise and not spec.with_backend("scipy").bitwise
+    rows = PipelineSpec.parse("rcm+rowwise")
+    assert rows.with_backend("scipy").label.endswith("@scipy")
+    assert spec.bitwise and s2.bitwise and not rows.with_backend("scipy").bitwise
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_spec_with_backend_and_label():
 def test_execute_rejects_incompatible_kernel():
     built = PipelineSpec.parse("original+none+tiled").build(A)
     with pytest.raises(ValueError, match="support"):
-        execute(built, A, kernel="tiled", backend="vectorized")
+        execute(built, A, kernel="tiled", backend="scipy")
 
 
 def test_context_accumulates_stats_across_executions():
@@ -166,38 +167,54 @@ def test_context_accumulates_stats_across_executions():
     assert ctx.stats["reference_calls"] == 2
 
 
-def test_vectorized_matches_cluster_kernel_bitwise():
-    from repro.backends import vectorized_cluster_spgemm
+def test_cluster_kernel_matches_pure_python_oracle_bitwise():
+    # The registered cluster kernel is the numpy-batched phase; the
+    # pure-python cluster_spgemm (paper Alg. 1 as written) is its oracle.
     from repro.clustering import get_clustering
     from repro.core.cluster_spgemm import cluster_spgemm
 
+    kernel = get_component("kernel", "cluster").factory
     for name, kw in (("fixed", {"cluster_size": 8}), ("variable", {}), ("hierarchical", {})):
         cl = get_clustering(name)(A, **kw)
         Ac = cl.to_csr_cluster(A)
         want = cluster_spgemm(Ac, A, restore_order=True)
-        got = vectorized_cluster_spgemm(Ac, A, restore_order=True)
+        got = kernel(ShardOperand(Ar=None, Ac=Ac), A)
         assert got.same_pattern(want)
         assert np.array_equal(got.values, want.values), name
 
 
 def test_scipy_backend_pattern_identical_allclose():
-    C = PipelineSpec.parse("rcm+fixed:8+cluster@scipy").run(A)
+    C = PipelineSpec.parse("rcm+fixed:8+rowwise@scipy").run(A)
     assert C.same_pattern(REF) and C.allclose(REF)
 
 
 def test_sharded_backend_bitwise_over_rows_and_clusters():
     assert _bitwise(PipelineSpec.parse("rcm@sharded:workers=2").run(A))
     assert _bitwise(PipelineSpec.parse("rcm+fixed:8+cluster@sharded:workers=2").run(A))
-    assert _bitwise(
-        PipelineSpec.parse("original+variable+cluster@sharded:workers=3,inner=vectorized").run(A)
-    )
+    assert _bitwise(PipelineSpec.parse("original+variable+cluster@sharded:workers=3").run(A))
 
 
-def test_sharded_cluster_shards_carry_csr_for_ar_consuming_inners():
-    # The CI matrix spec: cluster-kernel shards must expose the matching
-    # CSR rows so an inner backend that reads operand.Ar (scipy) works.
-    C = PipelineSpec.parse("rcm+fixed:8+cluster@sharded:workers=2,inner=scipy").run(A)
-    assert C.same_pattern(REF) and C.allclose(REF)
+def test_sharded_cluster_shards_carry_only_the_cluster_operand():
+    # Cluster shards ship CSR_Cluster slices alone (no inner reads Ar).
+    from repro.backends.sharded import ShardedBackend
+
+    be = ShardedBackend(workers=2)
+    built = PipelineSpec.parse("rcm+fixed:8+cluster").build(A)
+    shards, clustered = be._shards(built, A, "cluster", 2)
+    assert clustered and len(shards) == 2
+    assert all(shard.Ar is None and shard.Ac is not None for shard, _ in shards)
+    assert _bitwise(PipelineSpec.parse("rcm+fixed:8+cluster@sharded:workers=2").run(A))
+
+
+def test_sharded_scipy_inner_rejects_cluster_kernel_uniformly():
+    # The same require_backend_supports error as any other pairing.
+    msg = r"backend 'sharded' does not support kernel 'cluster'; supported kernels: \['rowwise'\]"
+    with pytest.raises(ValueError, match=msg):
+        PipelineSpec.parse("rcm+fixed:8+cluster@sharded:workers=2,inner=scipy")
+    built = PipelineSpec.parse("rcm+fixed:8+cluster").build(A)
+    params = (("workers", 2), ("inner", "scipy"))
+    with pytest.raises(ValueError, match=msg):
+        execute(built, A, kernel="cluster", backend="sharded", backend_params=params)
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +311,7 @@ def test_sharded_pool_matches_inprocess_across_inners(monkeypatch):
     cases = [
         ("rcm", "rowwise", {"accumulator": "sort"}, "reference", True),
         ("rcm+fixed:8+cluster", "cluster", {}, "reference", True),
-        ("rcm+fixed:8+cluster", "cluster", {}, "vectorized", True),
-        ("rcm+fixed:8+cluster", "cluster", {}, "scipy", False),
+        ("rcm+fixed:8+rowwise", "rowwise", {}, "scipy", False),
     ]
     for spec, kernel, params, inner, bitwise in cases:
         built = PipelineSpec.parse(spec).build(A)
@@ -345,15 +361,15 @@ def test_sharded_pool_inner_spec_round_trips_to_workers(monkeypatch):
     from repro.backends.sharded import ShardedBackend
 
     monkeypatch.setenv("REPRO_SHARDED_CORES", "3")
-    name, params = parse_backend("vectorized")
-    be = ShardedBackend(workers=3, inner="vectorized")
+    name, params = parse_backend("scipy")
+    be = ShardedBackend(workers=3, inner="scipy")
     assert (be.inner_name, be.inner_params) == (name, params)
     assert be.inner is get_backend(name, params)
-    built = PipelineSpec.parse("rcm+fixed:8+cluster").build(A)
+    built = PipelineSpec.parse("rcm").build(A)
     try:
-        C, ctx = _pool_run(be, built, A, "cluster", {})
+        C, ctx = _pool_run(be, built, A, "rowwise", {})
         assert "sharded_pool_fallbacks" not in ctx.stats
-        assert _bitwise(C)
+        assert C.same_pattern(REF) and C.allclose(REF)
     finally:
         be.close()
 
@@ -441,15 +457,14 @@ def test_engine_constructor_backend_pins_every_plan():
 def test_engine_per_call_backend_override():
     eng = SpGEMMEngine(policy="heuristic")
     eng.multiply(A)
-    C = eng.multiply(A, backend="sharded:workers=2,inner=vectorized")
-    assert _bitwise(C)
-    plan = eng.plan_for(A, backend="sharded:workers=2,inner=vectorized")
+    C = eng.multiply(A, backend="sharded:workers=2,inner=scipy")
+    assert C.same_pattern(REF) and C.allclose(REF)
+    plan = eng.plan_for(A, backend="sharded:workers=2,inner=scipy")
     assert plan.backend == "sharded"
-    assert dict(plan.backend_params) == {"workers": 2, "inner": "vectorized"}
-    # Pinning vectorized-inner sharding restricts the space to the
-    # kernels vectorized supports; the planner's model picks hybrid
-    # (rowwise dataflow at the hybrid speed factor, no cluster build).
-    assert plan.kernel in {"cluster", "rowwise", "hybrid"}
+    assert dict(plan.backend_params) == {"workers": 2, "inner": "scipy"}
+    # Pinning scipy-inner sharding restricts the space to the one
+    # kernel scipy supports.
+    assert plan.kernel == "rowwise"
 
 
 def test_plan_cache_keys_include_backend():
@@ -479,14 +494,20 @@ def test_engine_auto_backend_plans_and_matches_pattern():
 
 def test_predictor_policy_honours_auto_backend():
     # backend="auto" is an explicit opt-in; the predictor applies it by
-    # re-targeting its chosen triple at the best-ranked supporting
-    # backend (scipy, given its model_speed_factor), not by silently
-    # staying on reference.
+    # re-targeting its chosen triple at the best-ranked backend that
+    # supports the triple's kernel (scipy for row-wise, given its
+    # model_speed_factor), not by silently staying on reference.
+    from repro.engine.planner import Candidate
+
     eng = SpGEMMEngine(policy="predictor", backend="auto")
     C = eng.multiply(A)
     plan = eng.plan_for(A)
-    assert plan.backend != "reference"
+    assert plan.backend == ("scipy" if plan.kernel == "rowwise" else "reference")
     assert C.same_pattern(REF) and C.allclose(REF)
+    rows = eng.planner._apply_backend(Candidate(plan.reordering, None, "rowwise"), A)
+    assert rows.backend == "scipy"
+    clustered = eng.planner._apply_backend(Candidate("original", "fixed", "cluster"), A)
+    assert clustered.backend == "reference"  # no planned backend but reference runs it
 
 
 def test_engine_pipeline_spec_with_backend():
@@ -536,7 +557,7 @@ def test_plan_backend_serialisation_round_trip():
         clustering="fixed",
         kernel="cluster",
         backend="sharded",
-        backend_params=(("workers", 2), ("inner", "vectorized")),
+        backend_params=(("workers", 2), ("inner", "reference")),
         predicted_cost=10.0,
         baseline_cost=12.0,
     )
@@ -561,10 +582,44 @@ def test_plan_dicts_without_backend_fields_load_as_reference():
     assert _bitwise(C)  # executes on the reference backend, bitwise
 
 
+@pytest.mark.parametrize(
+    "retired",
+    [
+        {"backend": "vectorized", "backend_params": []},
+        {"clustering": "fixed", "kernel": "cluster", "backend": "scipy", "backend_params": []},
+    ],
+    ids=["vectorized-backend", "cluster@scipy"],
+)
+def test_persisted_plan_for_a_retired_pairing_is_a_warned_miss(tmp_path, monkeypatch, retired):
+    # No compatibility shim: a plan file naming the deleted backend, or
+    # a kernel scipy no longer runs, fails validation on load, is
+    # discarded with a warning, and the engine re-plans to a correct
+    # product.
+    import json
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    SpGEMMEngine(policy="heuristic", backend="auto", persist_plans=True).multiply(A)
+    (path,) = tmp_path.rglob("plan_*.json")
+    envelope = json.loads(path.read_text())
+    envelope["plan"].update(retired)
+    path.write_text(json.dumps(envelope))
+
+    eng = SpGEMMEngine(policy="heuristic", backend="auto", persist_plans=True)
+    with pytest.warns(UserWarning, match="corrupt plan-cache entry"):
+        C = eng.multiply(A)
+    assert C.same_pattern(REF) and C.allclose(REF)
+    st = eng.stats()
+    assert st.plans_built == 1 and eng.plan_cache.disk_hits == 0
+    plan = eng.plan_for(A)
+    assert plan.backend in ("reference", "scipy")
+    assert plan.backend == "reference" or plan.kernel == "rowwise"
+
+
 def test_plan_rejects_unknown_or_incompatible_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         ExecutionPlan(reordering="original", clustering=None, kernel="rowwise", backend="nope")
     with pytest.raises(ValueError, match="support"):
         ExecutionPlan(
-            reordering="original", clustering=None, kernel="tiled", backend="vectorized"
+            reordering="original", clustering=None, kernel="tiled", backend="scipy"
         )

@@ -292,20 +292,13 @@ def test_stats_counters_absent_without_tracer():
 
 
 # ----------------------------------------------------------------------
-# The vectorized backend: rowwise and hybrid share the one row-wise phase
+# Backends: the one row-wise phase runs wherever results are bitwise
 # ----------------------------------------------------------------------
-def test_vectorized_rowwise_and_hybrid_bitwise_on_both_sides_of_default_edge():
+def test_hybrid_bitwise_on_both_sides_of_default_edge_on_bitwise_backends():
     A = G.rmat(10, edge_factor=8, seed=0)
     _, ub = row_workloads(A, A)
     edge = DEFAULT_BIN_MAP[0][0]
     assert (ub <= edge).any() and (ub > edge).any()  # both phases carry rows
     ref = spgemm_rowwise(A, A)
-    for spec in ("rowwise@vectorized", "hybrid@vectorized"):
+    for spec in ("hybrid", "rcm+hybrid@sharded:workers=2"):
         assert_bitwise_equal(PipelineSpec.parse(spec).run(A, A), ref)
-
-
-def test_vectorized_backend_runs_rowwise_and_hybrid_specs():
-    A = G.web_graph(90, seed=6)
-    ref = spgemm_rowwise(A, A)
-    assert_bitwise_equal(PipelineSpec.parse("rowwise@vectorized").run(A, A), ref)
-    assert_bitwise_equal(PipelineSpec.parse("rcm+hybrid@vectorized").run(A, A), ref)
