@@ -3,9 +3,13 @@
 Replaces the numeric computation wholesale: the prepared operand's CSR
 form is handed to :mod:`scipy.sparse` (compiled SMMP matmul), and the
 product is canonicalised back into our :class:`~repro.core.csr.CSRMatrix`.
-Because scipy's symbolic phase is the same Gustavson union as ours —
-numeric cancellations are *kept* as explicit entries, not pruned — the
-output sparsity pattern is identical to row-wise SpGEMM.  Values are
+scipy's numeric phase drops every sum that comes out exactly ``0.0``,
+while row-wise SpGEMM keeps such numeric cancellations as explicit
+entries.  When each operand is one-signed with a nonzero smallest
+product, no sum can cancel and scipy's product is used as it is;
+otherwise a boolean product recovers the structural pattern and the
+cancelled entries are put back as explicit zeros.  Either way the output
+sparsity pattern is identical to row-wise SpGEMM.  Values are
 ``allclose`` but not bitwise: scipy's per-row accumulation order differs,
 so this backend declares ``bitwise_reference=False``.
 
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any, ClassVar
 
+import numpy as np
+
 from .base import ExecutionBackend, ExecutionContext
 
 __all__ = ["ScipyBackend"]
@@ -34,6 +40,49 @@ def scipy_available() -> bool:
     except Exception:  # pragma: no cover - exercised only without scipy
         return False
     return True
+
+
+def _min_abs_if_one_signed(values: np.ndarray) -> float:
+    """``min |v|`` when every value has one sign, else ``0.0`` (also for
+    zeros and NaNs)."""
+    lo, hi = values.min(), values.max()
+    if lo > 0:
+        return float(lo)
+    if hi < 0:
+        return float(-hi)
+    return 0.0
+
+
+def _cannot_cancel(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether no sum of products ``a_i * b_j`` can come out ``0.0``:
+    all products then share one sign and none underflows to zero."""
+    if a.size == 0 or b.size == 0:
+        return True
+    return _min_abs_if_one_signed(a) * _min_abs_if_one_signed(b) > 0
+
+
+def _with_cancellations(As, Bs, Cs):
+    """``Cs = As @ Bs`` with the entries scipy pruned as exact-zero sums
+    restored as explicit zeros on the structural (boolean) pattern."""
+    import scipy.sparse as sp
+
+    def pattern(M):
+        return sp.csr_matrix(
+            (np.ones(M.indices.size, dtype=bool), M.indices, M.indptr), shape=M.shape
+        )
+
+    P = pattern(As) @ pattern(Bs)
+    P.sort_indices()
+    Cs.sort_indices()
+    ncols = Cs.shape[1]
+
+    def keys(M):
+        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+        return rows * ncols + M.indices
+
+    data = np.zeros(P.nnz, dtype=np.float64)
+    data[np.searchsorted(keys(P), keys(Cs))] = Cs.data
+    return sp.csr_matrix((data, P.indices, P.indptr), shape=Cs.shape)
 
 
 class ScipyBackend(ExecutionBackend):
@@ -71,6 +120,8 @@ class ScipyBackend(ExecutionBackend):
         As = sp.csr_matrix((Ar.values, Ar.indices, Ar.indptr), shape=Ar.shape)
         Bs = sp.csr_matrix((B.values, B.indices, B.indptr), shape=B.shape)
         Cs = As @ Bs
+        if not _cannot_cancel(Ar.values, B.values):
+            Cs = _with_cancellations(As, Bs, Cs)
         Cs.sort_indices()
         return CSRMatrix(
             Cs.indptr.astype("int64"),

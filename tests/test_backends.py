@@ -14,6 +14,7 @@ from repro.backends import (
     parse_backend,
 )
 from repro.core import spgemm_rowwise
+from repro.core.csr import CSRMatrix
 from repro.engine import ExecutionPlan, SpGEMMEngine
 from repro.matrices import generators as G
 from repro.pipeline import PipelineSpec, available_components, components, get_component
@@ -186,6 +187,37 @@ def test_cluster_kernel_matches_pure_python_oracle_bitwise():
 def test_scipy_backend_pattern_identical_allclose():
     C = PipelineSpec.parse("rcm+fixed:8+rowwise@scipy").run(A)
     assert C.same_pattern(REF) and C.allclose(REF)
+
+
+# Row 0 of CANCEL_A @ CANCEL_B sums 1·1 + 1·(-1) = 0.0: a numeric
+# cancellation row-wise SpGEMM keeps as an explicit entry.
+CANCEL_A = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
+CANCEL_B = CSRMatrix.from_dense(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+
+def test_scipy_backend_keeps_numeric_cancellations():
+    want = spgemm_rowwise(CANCEL_A, CANCEL_B)
+    assert want.nnz == 1
+    C = PipelineSpec.parse("original+rowwise@scipy").run(CANCEL_A, CANCEL_B)
+    assert C.same_pattern(want) and C.allclose(want)
+    assert C.values.tolist() == [0.0]
+
+
+def test_sharded_scipy_inner_keeps_numeric_cancellations():
+    # Block-diagonal copies, so every row shard holds a cancellation,
+    # beside a web graph with mixed-sign values for ordinary sums.
+    import scipy.sparse as sp
+
+    eye = sp.identity(16, format="csr")
+    As = sp.kron(eye, CANCEL_A.to_scipy(), format="csr")
+    Bs = sp.kron(eye, CANCEL_B.to_scipy(), format="csr")
+    W = A.to_scipy()
+    W.data = W.data * np.where(np.arange(W.nnz) % 3, 1.0, -1.0)
+    Am = CSRMatrix.from_scipy(sp.block_diag([As, W], format="csr"))
+    Bm = CSRMatrix.from_scipy(sp.block_diag([Bs, W], format="csr"))
+    want = spgemm_rowwise(Am, Bm)
+    C = PipelineSpec.parse("original+rowwise@sharded:workers=2,inner=scipy").run(Am, Bm)
+    assert C.same_pattern(want) and C.allclose(want)
 
 
 def test_sharded_backend_bitwise_over_rows_and_clusters():

@@ -256,3 +256,40 @@ def test_stats_snapshot_is_isolated(gainful_matrix):
     assert eng.stats().multiplies == 2
     eng.reset_stats()
     assert eng.stats().multiplies == 0
+
+
+# (label, row-wise simulations, predicted_cost, baseline_cost,
+# planning_cost) of the heuristic backend="auto" plan, recorded with the
+# per-access OrderedDict simulator before the planner reused the
+# baseline run: neither the replay nor the reuse may move a float.
+_AUTO_PLANS = {
+    "pdb1": ("original+csr/rowwise@scipy", 1, 124967.49999999999, 357050.0, 482017.5),
+    "wb": ("rcm+csr/rowwise@scipy", 2, 499027.89999999997, 2576038.0, 3075065.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AUTO_PLANS))
+def test_planner_simulates_each_distinct_trace_once(name, monkeypatch):
+    # An `original` row-wise winner measures the unreordered A, whose
+    # simulation is the baseline's: the planner reuses it, yet still
+    # charges both in planning_cost.
+    from repro.machine import SimulatedMachine
+
+    label, sims, predicted, baseline, planning = _AUTO_PLANS[name]
+    run_rowwise = SimulatedMachine.run_rowwise
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return run_rowwise(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedMachine, "run_rowwise", spy)
+    A = get_matrix(name)
+    plan = SpGEMMEngine(backend="auto").plan_for(A, A)
+    assert plan.label == label
+    assert len(calls) == sims
+    assert (plan.predicted_cost, plan.baseline_cost, plan.planning_cost) == (
+        predicted,
+        baseline,
+        planning,
+    )
