@@ -16,6 +16,8 @@ import os
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 from repro.experiments import ExperimentConfig, sweep_suite
 from repro.matrices import suite_names
 
@@ -43,6 +45,16 @@ def git_rev() -> str:
     except Exception:
         pass
     return "unknown"
+
+
+def bits_equal(C, ref) -> bool:
+    """Whether two CSR products agree in indptr, indices and value bits
+    (``-0.0`` and ``0.0`` differ)."""
+    return (
+        bool(np.array_equal(C.indptr, ref.indptr))
+        and bool(np.array_equal(C.indices, ref.indices))
+        and bool(np.array_equal(C.values.view(np.uint64), ref.values.view(np.uint64)))
+    )
 
 
 def gate_metric(metric: str, value: float, direction: str) -> dict:

@@ -82,7 +82,7 @@ def main() -> None:
     print("\n=== Execution backends: '@' picks how the pipeline runs ===")
     for text in (
         "rcm+variable+cluster",                  # in-process reference, bitwise
-        "rcm+variable+rowwise@scipy",            # native matmul, allclose
+        "rcm+variable+rowwise@scipy",            # native matmul, bitwise if its probe passed
         "rcm+variable+cluster@sharded:workers=2",  # process-pool cluster shards
     ):
         spec = PipelineSpec.parse(text)

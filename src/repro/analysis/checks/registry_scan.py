@@ -13,14 +13,19 @@ declarations the runtime reads:
 * ``ComponentInfo(name=..., kind="kernel", requires_clustering=...)``
   calls under ``src/repro/pipeline/`` (kernels);
 * class-level ``name = "..."`` attributes under ``src/repro/backends/``
-  (backends).
+  (backends), with each class's ``supported_kernels`` property: a
+  returned tuple literal lists the kernels the backend runs, ``return
+  self.<param>.supported_kernels`` delegates to the backend named by a
+  constructor parameter (``sharded``'s ``inner``), and no override
+  means every kernel.
 
 The spec validator then re-implements the string grammar of
 :mod:`repro.pipeline.spec` — segments joined by ``+``, one optional
 ``@backend`` suffix, ``name[:params]`` segments with positional-then-
-named params, kinds resolved by the disjoint name namespaces — without
-building anything.  ``tests/test_analysis.py`` pins the static universe
-against the live registry so the two cannot drift silently.
+named params, kinds resolved by the disjoint name namespaces, and the
+backend–kernel compatibility gate — without building anything.
+``tests/test_analysis.py`` pins the static universe against the live
+registry so the two cannot drift silently.
 """
 
 from __future__ import annotations
@@ -44,6 +49,22 @@ class ComponentUniverse:
     clusterings: set = field(default_factory=set)
     kernels: dict[str, bool] = field(default_factory=dict)  # name -> requires_clustering
     backends: set = field(default_factory=set)
+    #: backend -> kernel names it runs (``None`` = every kernel).
+    backend_kernels: dict[str, tuple | None] = field(default_factory=dict)
+    #: composite backend -> ``(param, default)``: it runs what the
+    #: backend named by that constructor parameter runs.
+    backend_inner: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+
+    def supported_kernels(self, backend: str, params: dict[str, str]) -> tuple | None:
+        """Kernel names ``backend`` runs under ``params`` (``None`` =
+        every kernel, or unknown), following a composite to its inner."""
+        if backend not in self.backend_inner:
+            return self.backend_kernels.get(backend)
+        param, default = self.backend_inner[backend]
+        inner = (params.get(param) or default or "").partition(":")[0].strip()
+        if inner == backend or inner not in self.backends:
+            return None
+        return self.supported_kernels(inner, {})
 
     def kind_of(self, name: str) -> str | None:
         if name in self.reorderings:
@@ -146,6 +167,7 @@ def _scan_backends(tree: ast.AST, uni: ComponentUniverse) -> None:
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
+        name = None
         for stmt in node.body:
             target = None
             value = None
@@ -154,9 +176,35 @@ def _scan_backends(tree: ast.AST, uni: ComponentUniverse) -> None:
             elif isinstance(stmt, ast.AnnAssign):
                 target, value = stmt.target, stmt.value
             if isinstance(target, ast.Name) and target.id == "name":
-                name = _const_str(value) if value is not None else None
-                if name:
-                    uni.backends.add(name)
+                name = (_const_str(value) if value is not None else None) or name
+        if not name:
+            continue
+        uni.backends.add(name)
+        methods = {
+            stmt.name: stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+        }
+        fn = methods.get("supported_kernels")
+        if fn is None:
+            continue  # the base contract: every kernel
+        returns = [r.value for r in ast.walk(fn) if isinstance(r, ast.Return) and r.value]
+        value = returns[0] if returns else None
+        if isinstance(value, (ast.Tuple, ast.List)):
+            names = tuple(_const_str(e) for e in value.elts)
+            uni.backend_kernels[name] = None if None in names else names
+        elif (  # ``return self.<param>.supported_kernels``
+            isinstance(value, ast.Attribute)
+            and value.attr == "supported_kernels"
+            and isinstance(value.value, ast.Attribute)
+            and isinstance(value.value.value, ast.Name)
+            and value.value.value.id == "self"
+        ):
+            init = methods.get("__init__")
+            defaults = {} if init is None else {
+                a.arg: _const_str(d)
+                for a, d in zip(init.args.kwonlyargs, init.args.kw_defaults)
+                if d is not None
+            }
+            uni.backend_inner[name] = (value.value.attr, defaults.get(value.value.attr))
 
 
 # ----------------------------------------------------------------------
@@ -244,4 +292,16 @@ def validate_spec(text: str, uni: ComponentUniverse) -> list[str]:
     kernel = by_kind.get("kernel", "cluster" if clustering else "rowwise")
     if uni.kernels.get(kernel) and clustering is None:
         errors.append(f"spec {text!r}: kernel {kernel!r} requires a clustering")
+    if at and bname.strip() in uni.backends and kernel in uni.kernels:
+        supported = uni.supported_kernels(bname.strip(), _named_params(bptext))
+        if supported is not None and kernel not in supported:
+            errors.append(
+                f"spec {text!r}: backend {bname.strip()!r} does not support kernel "
+                f"{kernel!r} (supported: {list(supported)})"
+            )
     return errors
+
+
+def _named_params(ptext: str) -> dict[str, str]:
+    pairs = (tok.partition("=") for tok in ptext.split(",") if "=" in tok)
+    return {key.strip(): val.strip() for key, _, val in pairs}

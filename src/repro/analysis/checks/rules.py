@@ -51,15 +51,14 @@ __all__ = ["ALL_RULES", "default_rules"]
 
 #: The kernel entry points behind :func:`repro.backends.execute`: the
 #: functions the registered kernels wrap (``rowwise``, ``cluster``,
-#: ``tiled``, ``hybrid``), the pure-python cluster oracle and the
-#: machine model's threaded row-wise kernel.
+#: ``tiled``), the pure-python cluster oracle and the machine model's
+#: threaded row-wise kernel.
 KERNEL_FUNCTIONS = frozenset(
     {
         "spgemm_rowwise",
         "vectorized_cluster_spgemm",
         "cluster_spgemm",
         "tiled_spgemm",
-        "hybrid_spgemm",
         "threaded_spgemm_rowwise",
     }
 )

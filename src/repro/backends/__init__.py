@@ -5,7 +5,7 @@ it, each a different computation:
 
 =============  ========================================================
 ``reference``  the registry kernels in-process — the bitwise oracle
-``scipy``      native CSR matmul, ``rowwise`` only (pattern-identical, allclose)
+``scipy``      native CSR matmul, ``rowwise`` only (bitwise when its probe passes)
 ``sharded``    process-pool row/cluster shards over any inner backend
 =============  ========================================================
 

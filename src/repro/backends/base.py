@@ -21,8 +21,11 @@ row-wise SpGEMM exactly (including structural zeros from numeric
 cancellation); backends whose :attr:`~ExecutionBackend.bitwise_reference`
 capability is ``True`` additionally preserve each output row's
 floating-point summation order, so their values are bit-identical to
-:func:`~repro.core.spgemm.spgemm_rowwise`.  Non-bitwise backends (scipy)
-guarantee ``allclose`` values on the identical pattern.
+:func:`~repro.core.spgemm.spgemm_rowwise`.  Other backends guarantee
+``allclose`` values on the identical pattern.  A backend whose bit
+identity depends on how its native code was built measures the flag
+instead of declaring it (``scipy`` runs a probe product at
+registration).
 
 Capabilities are declared class-level (they feed the registry's
 :class:`~repro.pipeline.registry.ComponentInfo` entry) and refined

@@ -41,17 +41,4 @@ class ReferenceBackend(ExecutionBackend):
         from ..pipeline import get_component
 
         ctx.bump("reference_calls")
-        k_info = get_component("kernel", kernel)
-        # Kernels that publish work accounting (``hybrid``'s per-bin
-        # counters) declare a ``make_stats`` factory on their wrapper;
-        # collection is tracer-gated so the default path allocates
-        # nothing extra.
-        make_stats = getattr(k_info.factory, "make_stats", None)
-        tracer = ctx.tracer
-        if make_stats is not None and tracer is not None and tracer.enabled:
-            stats = make_stats()
-            C = k_info.factory(operand, B, stats=stats, **kernel_params)
-            for name, value in stats.counters().items():
-                ctx.bump(name, value)
-            return C
-        return k_info.factory(operand, B, **kernel_params)
+        return get_component("kernel", kernel).factory(operand, B, **kernel_params)

@@ -9,28 +9,40 @@ entries.  When each operand is one-signed with a nonzero smallest
 product, no sum can cancel and scipy's product is used as it is;
 otherwise a boolean product recovers the structural pattern and the
 cancelled entries are put back as explicit zeros.  Either way the output
-sparsity pattern is identical to row-wise SpGEMM.  Values are
-``allclose`` but not bitwise: scipy's per-row accumulation order differs,
-so this backend declares ``bitwise_reference=False``.
+sparsity pattern is identical to row-wise SpGEMM.
+
+SMMP adds each output row's terms into a dense accumulator in A's
+column order — the order :func:`~repro.core.spgemm.spgemm_rowwise`
+uses — so the values are bit-identical too, *if* the compiled loop
+rounds every multiply and every add.  That depends on how scipy was
+built (a compiler that contracts ``sums[k] += v * b`` into a fused
+multiply-add breaks it), so :attr:`ScipyBackend.bitwise_reference` is
+measured, not declared: :func:`bitwise_probe` runs a crafted product
+through :meth:`ScipyBackend.execute` once per process (at registration)
+and compares it bit for bit with ``spgemm_rowwise``.  Its rows come out
+with other bits under a fused multiply-add, a reversed or pairwise sum,
+or a small-terms-first sum.
 
 scipy runs one dataflow, so the backend supports only the ``rowwise``
-kernel: naming ``cluster`` or ``hybrid`` would run the same ``A @ B``
-under another label (and pay for a ``CSR_Cluster`` build scipy never
-reads).  The planner's ``backend_supports`` filter therefore yields one
-scipy candidate per reordering.  The backend is registered only when
-scipy imports, so environments without scipy keep a valid
-(reference-only) backend registry.
+kernel: naming ``cluster`` would run the same ``A @ B`` under another
+label (and pay for a ``CSR_Cluster`` build scipy never reads).  The
+planner's ``backend_supports`` filter therefore yields one scipy
+candidate per reordering.  The backend is registered only when scipy
+imports, so environments without scipy keep a valid (reference-only)
+backend registry.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from types import SimpleNamespace
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .base import ExecutionBackend, ExecutionContext
 
-__all__ = ["ScipyBackend"]
+__all__ = ["ScipyBackend", "bitwise_probe"]
 
 
 def scipy_available() -> bool:
@@ -85,6 +97,54 @@ def _with_cancellations(As, Bs, Cs):
     return sp.csr_matrix((data, P.indices, P.indptr), shape=Cs.shape)
 
 
+def _probe_operands():
+    """``(A, B)`` whose rows tell the sequential row-wise sum apart:
+
+    * row 0 adds ``a*b`` to ``-1`` with ``a, b = 1 ± 2**-27``: rounding
+      the product first gives an exact cancellation (``0.0``, so the
+      cancellation-restore path runs too), a fused multiply-add gives
+      ``-2**-54``;
+    * row 1 sums ``1e16, 1, -1e16, 1``: in order ``1.0``; reversed or
+      pairwise ``0.0``; small terms first ``2.0``;
+    * row 2 adds a lone ``-0.0`` product (the signed-zero start of a sum).
+    """
+    from ..core.csr import CSRMatrix
+
+    a, b = 1 + 2.0**-27, 1 - 2.0**-27
+    A = CSRMatrix(
+        np.array([0, 2, 6, 7]),
+        np.arange(7),
+        np.array([1.0, a, 1.0, 1.0, 1.0, 1.0, -1.0]),
+        (3, 7),
+    )
+    B = CSRMatrix(
+        np.arange(8),
+        np.zeros(7, dtype=np.int64),
+        np.array([-1.0, b, 1e16, 1.0, -1e16, 1.0, 0.0]),
+        (7, 1),
+    )
+    return A, B
+
+
+@cache
+def bitwise_probe() -> bool:
+    """Whether this host's scipy product is bit-identical to
+    :func:`~repro.core.spgemm.spgemm_rowwise` on the probe operands
+    (measured once per process; about a millisecond)."""
+    from ..core.spgemm import spgemm_rowwise
+
+    A, B = _probe_operands()
+    want = spgemm_rowwise(A, B)
+    got = ScipyBackend().execute(
+        SimpleNamespace(Ar=A), B, kernel="rowwise", kernel_params={}, ctx=ExecutionContext()
+    )
+    return (
+        np.array_equal(got.indptr, want.indptr)
+        and np.array_equal(got.indices, want.indices)
+        and np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    )
+
+
 class ScipyBackend(ExecutionBackend):
     """Native scipy CSR matmul over the prepared operand."""
 
@@ -92,11 +152,11 @@ class ScipyBackend(ExecutionBackend):
     parallelism: ClassVar[str] = "serial"
     planner_rank: ClassVar[int | None] = 10
     model_speed_factor: ClassVar[float] = 0.35
-    description: ClassVar[str] = "native scipy CSR matmul (allclose values, identical pattern)"
+    description: ClassVar[str] = "native scipy CSR matmul (bitwise when its probe passes)"
 
     @property
     def bitwise_reference(self) -> bool:
-        return False
+        return bitwise_probe()
 
     @property
     def supported_kernels(self) -> tuple[str, ...] | None:

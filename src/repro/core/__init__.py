@@ -8,8 +8,6 @@ Public surface:
 * :func:`~repro.core.cluster_spgemm.cluster_spgemm` — paper Alg. 1, and
   :func:`~repro.core.cluster_spgemm.vectorized_cluster_spgemm`, its
   bitwise-identical numpy-batched form (the ``cluster`` kernel).
-* :func:`~repro.core.hybrid_spgemm.hybrid_spgemm` — row-binned numeric
-  phase (batched merge / blocked scatter, DESIGN.md §15).
 * :func:`~repro.core.topk.spgemm_topk_similarity` — paper Alg. 3's
   candidate generation.
 """
@@ -24,7 +22,6 @@ from .cluster_spgemm import (
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csr_cluster import CSRCluster
-from .hybrid_spgemm import DEFAULT_BIN_MAP, hybrid_spgemm
 from .spgemm import SpGEMMStats, flops_rowwise, spgemm_rowwise, spgemm_symbolic
 from .tiled_spgemm import TiledSpGEMMStats, split_column_tiles, tiled_spgemm
 from .topk import CandidatePairs, spgemm_topk_similarity
@@ -48,8 +45,6 @@ __all__ = [
     "cluster_spgemm",
     "padded_flops",
     "vectorized_cluster_spgemm",
-    "DEFAULT_BIN_MAP",
-    "hybrid_spgemm",
     "CandidatePairs",
     "spgemm_topk_similarity",
     "assert_canonical",

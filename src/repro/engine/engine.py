@@ -267,18 +267,14 @@ class SpGEMMEngine:
         for every multiply instead of searching — the declarative
         entry point.  Individual calls can also override the planner
         per-multiply via ``multiply(..., pipeline=...)``.
-    kernels:
-        Pins the planners' kernel axis to a subset of the planned
-        kernels (e.g. ``("rowwise", "cluster")`` to exclude
-        ``hybrid``); ``None`` (default) searches the full
-        registry-enumerated kernel space.  Mirrors the planners'
-        ``reorderings`` pin and is recorded in the plan-cache token.
     backend:
         Execution-backend policy (:mod:`repro.backends`).  ``None``
-        (default) keeps the engine on the ``reference`` backend — the
-        bitwise contract.  ``"auto"`` lets the planner enumerate every
-        planner-ranked backend (results may then be ``allclose`` rather
-        than bit-identical when a non-bitwise backend wins).  A backend
+        (default) lets the planner enumerate the planner-ranked backends
+        whose registry ``bitwise_reference`` is true — the bitwise
+        contract (``scipy`` joins when its import-time probe passes).
+        ``"auto"`` enumerates every planner-ranked backend (results may
+        then be ``allclose`` rather than bit-identical when a
+        non-bitwise backend wins).  A backend
         name — optionally parameterised, ``"scipy"`` /
         ``"sharded:workers=4,inner=scipy"`` — pins every plan to that
         backend.  Individual calls can override via
@@ -340,7 +336,6 @@ class SpGEMMEngine:
         seed: int = 0,
         operand_cache_size: int = 8,
         pipeline: "PipelineSpec | str | None" = None,
-        kernels: "tuple[str, ...] | None" = None,
         backend: str | None = None,
         calibration: "CalibrationTable | BackendCalibrator | bool | None" = None,
         drift_threshold: float | None = None,
@@ -369,7 +364,6 @@ class SpGEMMEngine:
             cfg=self.cfg,
             machine=self.machine,
             seed=self.seed,
-            kernels=kernels,
             backend=backend,
             calibration=self.calibration,
             tracer=self.tracer,
@@ -515,7 +509,6 @@ class SpGEMMEngine:
                 cfg=self.cfg,
                 machine=self.machine,
                 seed=self.seed,
-                kernels=self.planner.kernels,
                 backend=backend,
                 calibration=self.calibration,
                 tracer=self.tracer,
@@ -770,8 +763,6 @@ class SpGEMMEngine:
         if any(p.name == "accumulator" for p in k_info.params):
             given.append(("accumulator", plan.accumulator))
         kernel_params = k_info.resolve_params(given, self.cfg)
-        if plan.bin_map and getattr(k_info.factory, "accepts_bin_map", False):
-            kernel_params["bin_map"] = plan.bin_map
         C = backend_execute(
             prep,
             Bx,
@@ -813,7 +804,7 @@ class SpGEMMEngine:
         factor = self.planner._backend_factor(
             plan.backend, kernel=plan.kernel, A=prep.Ar, params=plan.backend_params
         )
-        return t * k_info.model_speed_factor * factor
+        return t * factor
 
     def _observe_drift(
         self, A: CSRMatrix, Bx: CSRMatrix, plan: ExecutionPlan, prep: PreparedOperand,

@@ -47,10 +47,6 @@ def backend_label_suffix(backend: str, backend_params: tuple = ()) -> str:
 
 _ACCUMULATORS = ("sort", "dense", "hash")
 
-#: Hybrid bin kinds of earlier ladders (the per-row SPA bins and the
-#: zero-work bin), mapped to the default ladder on load.
-_RETIRED_BIN_KINDS = frozenset({"empty", "hash", "dense"})
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -94,14 +90,6 @@ class ExecutionPlan:
     params:
         Clustering parameters as a sorted tuple of ``(name, value)``
         pairs (kept as a tuple so the plan stays hashable).
-    bin_map:
-        Row-bin ladder of the ``hybrid`` kernel as ``(edge, kind)``
-        pairs (DESIGN.md §15): ``edge`` is the inclusive upper bound on
-        a row's symbolic output-nnz bound, ``-1`` the catch-all, and
-        ``kind`` the numeric phase.  Recorded so a cached plan replays
-        the exact same per-bin dispatch; ``()`` for kernels without one
-        (plans persisted before the hybrid kernel load unchanged, and a
-        ladder naming a retired bin kind loads as the default ladder).
     calibration_epoch:
         Epoch of the :class:`~repro.engine.adaptive.CalibrationTable`
         whose measured backend factors ranked this plan; ``0`` means
@@ -120,7 +108,6 @@ class ExecutionPlan:
     fingerprint_key: str = ""
     seed: int = 0
     params: tuple[tuple[str, float], ...] = ()
-    bin_map: tuple[tuple[int, str], ...] = ()
     predicted_cost: float = math.nan
     baseline_cost: float = math.nan
     pre_cost: float = 0.0
@@ -158,12 +145,12 @@ class ExecutionPlan:
         from ..backends import require_backend_supports
 
         require_backend_supports(self.backend, self.backend_params, self.kernel)
-        if self.bin_map:
-            if not getattr(kernel.factory, "accepts_bin_map", False):
-                raise ValueError(f"kernel {self.kernel!r} takes no bin_map")
-            from ..core.hybrid_spgemm import validate_bin_map
 
-            object.__setattr__(self, "bin_map", validate_bin_map(self.bin_map))
+    @property
+    def bin_map(self) -> tuple:
+        """Always ``()``: no registered kernel takes a row-bin ladder.
+        Kept read-only for ``perfbench/layers.py``, which still reads it."""
+        return ()
 
     # ------------------------------------------------------------------
     # Cost / amortisation accounting
@@ -243,7 +230,6 @@ class ExecutionPlan:
         d = asdict(self)
         d["params"] = [list(p) for p in self.params]
         d["backend_params"] = [list(p) for p in self.backend_params]
-        d["bin_map"] = [list(p) for p in self.bin_map]
         return d
 
     @classmethod
@@ -252,15 +238,10 @@ class ExecutionPlan:
         d["params"] = tuple((str(k), v) for k, v in d.get("params", ()))
         # Plans persisted before the backend axis load as reference.
         d["backend_params"] = tuple((str(k), v) for k, v in d.get("backend_params", ()))
-        # Plans persisted before the hybrid kernel carry no bin_map.
-        d["bin_map"] = tuple((int(e), str(k)) for e, k in d.get("bin_map", ()))
-        if any(k in _RETIRED_BIN_KINDS for _, k in d["bin_map"]):
-            # Every ladder is bitwise-identical, so a ladder naming a
-            # retired bin replays on the default ladder with the same
-            # result (only faster) instead of failing validation.
-            from ..core.hybrid_spgemm import DEFAULT_BIN_MAP
-
-            d["bin_map"] = DEFAULT_BIN_MAP
+        # Plans persisted while the retired ``hybrid`` kernel existed carry
+        # its row-bin ladder; a plan naming that kernel fails validation
+        # (the plan cache loads it as a warned miss), any other one loads.
+        d.pop("bin_map", None)
         return cls(**d)
 
     def to_json(self) -> str:

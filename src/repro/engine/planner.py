@@ -7,15 +7,17 @@ enumerated from :mod:`repro.pipeline` registry capability queries
 :func:`default_candidates`) — registering a component with the right
 tags makes it planned, with no lists to keep in sync here.
 
-The space has an execution-*backend* axis (:mod:`repro.backends`), off
-by default: planners search ``reference`` only — preserving the
-engine's bitwise contract — unless constructed with ``backend="auto"``
-(enumerate every planner-ranked backend, ranked by each backend's
-``model_speed_factor`` capability hint; ``reference`` wins ties) or a
-pinned backend (every candidate targets it).  ``reference`` remains the
-correctness oracle either way: plans are validated against it and
-non-bitwise backends guarantee pattern-identical ``allclose`` results.  Three search policies are provided, mirroring the
-escalation the paper's §5 future work sketches, plus a fixed-spec one:
+The space has an execution-*backend* axis (:mod:`repro.backends`) with
+two modes.  *Auto* enumerates planner-ranked backends, ranked by each
+backend's ``model_speed_factor`` capability hint (``reference`` wins
+ties): by default only those whose registry ``bitwise_reference`` is
+true — preserving the engine's bitwise contract — and every one of them
+under ``backend="auto"``.  *Pinned* targets one backend with every
+candidate (``backend="reference"`` pins the oracle).  ``reference``
+remains the correctness oracle either way: non-bitwise backends
+guarantee pattern-identical ``allclose`` results.  Three search
+policies are provided, mirroring the escalation the paper's §5 future
+work sketches, plus a fixed-spec one:
 
 * :class:`HeuristicPlanner` (``"heuristic"``) — ranks a candidate space
   with closed-form :class:`~repro.machine.cost.CostModel` estimates
@@ -146,10 +148,9 @@ def planner_backends() -> tuple[str, ...]:
     """Backends the planners may consider, by registry query.
 
     Every backend registered with a ``planner_rank`` participates (in
-    rank order, ``reference`` first).  The default planner *mode* still
-    restricts the space to ``reference`` — see :class:`Planner` — so
-    this set only enters the search when the caller opts in with
-    ``backend="auto"``.
+    rank order, ``reference`` first) under ``backend="auto"``; the
+    default planner keeps those whose registry ``bitwise_reference`` is
+    true (see :class:`Planner`).
     """
     return tuple(c.name for c in components("backend", planned=True))
 
@@ -158,7 +159,6 @@ def default_candidates(
     *,
     square: bool,
     reorderings: tuple[str, ...] | None = None,
-    kernels: tuple[str, ...] | None = None,
     backends: tuple[str, ...] | None = None,
 ) -> list[Candidate]:
     """The candidate space planners search, enumerated from the registry.
@@ -169,23 +169,16 @@ def default_candidates(
     (hierarchical, paper §3.4) are paired only with the natural order —
     their cluster formation *is* a reordering.
 
-    ``kernels`` pins the kernel axis to a subset of the planned kernels
-    (``None`` keeps the full registry-enumerated space); ``backends``
-    extends the space along the execution-backend axis: each base
-    candidate is additionally emitted per listed non-reference backend
-    that supports its kernel.  ``None`` (the default) keeps the
-    historical reference-only space, preserving the engine's bitwise
-    contract unless the caller opts in.
+    ``backends`` extends the space along the execution-backend axis:
+    each base candidate is additionally emitted per listed
+    non-reference backend that supports its kernel.  ``None`` (the
+    default) keeps the reference-only space.
     """
     if reorderings is None:
         reorderings = planner_reorderings()
     clusterings = components("clustering")
-    row_kernels = planner_kernels()
+    kernels = planner_kernels()
     cluster_kernels = _cluster_kernels()
-    if kernels is not None:
-        row_kernels = tuple(k for k in row_kernels if k in kernels)
-        cluster_kernels = tuple(k for k in cluster_kernels if k in kernels)
-    kernels = row_kernels
     cands = [Candidate("original", None, k) for k in kernels]
     cands += [
         Candidate("original", c.name, ck) for c in clusterings for ck in cluster_kernels
@@ -389,9 +382,6 @@ def _estimate_candidate_costs(
                 + cost.stream_byte * (padded * 8 + nnz_a * 4)
                 + cost.gamma_brow * visits
             )
-        # Kernel implementation hint: same dataflow, faster numeric
-        # phase (hybrid's per-bin dispatch); 1.0 for rowwise/cluster.
-        t *= k_info.model_speed_factor
         # Backend axis: same dataflow, faster implementation.  The
         # factor is the static registry hint unless the caller supplies
         # a (calibrated) resolver; 1.0 for reference either way.
@@ -423,7 +413,6 @@ class Planner:
         machine: SimulatedMachine | None = None,
         seed: int = 0,
         reorderings: tuple[str, ...] | None = None,
-        kernels: tuple[str, ...] | None = None,
         backend: "str | tuple | None" = None,
         calibration=None,
         tracer=None,
@@ -435,9 +424,6 @@ class Planner:
         self.machine = machine or machine_for(self.cfg)
         self.seed = int(seed)
         self.reorderings = planner_reorderings() if reorderings is None else tuple(reorderings)
-        #: ``None`` → full registry-enumerated kernel space; a tuple
-        #: pins the planner to that subset (mirrors ``reorderings``).
-        self.kernels = None if kernels is None else tuple(kernels)
         #: Observability hook (DESIGN.md §12): an enabled tracer wraps
         #: :meth:`plan` in a ``planner.plan`` span and every candidate
         #: measurement in a ``planner.trial`` span.
@@ -450,30 +436,39 @@ class Planner:
         #: ``(A, B, result)`` of the current plan() call's baseline
         #: simulation, reused by :meth:`_simulate_rowwise`.
         self._baseline_run: tuple[CSRMatrix, CSRMatrix, MachineResult] | None = None
-        # Backend mode (DESIGN.md §10): None → reference only (the
-        # bitwise default), "auto" → enumerate every planner-ranked
-        # backend, anything else → pin that backend for every candidate.
-        if backend is None or backend == "reference":
-            self._backend_mode, self._pinned = "reference", ("reference", ())
-        elif backend == "auto":
-            self._backend_mode, self._pinned = "auto", ("reference", ())
+        # Backend mode (DESIGN.md §10): None → auto over the bitwise
+        # planner-ranked backends (the default contract), "auto" → auto
+        # over every planner-ranked backend, anything else → pin that
+        # backend for every candidate.
+        #: ``(name, params)`` of a pinned backend; ``None`` in auto mode.
+        self._pinned: tuple[str, tuple] | None = None
+        #: Backends auto mode enumerates (``()`` when pinned).
+        self._backends: tuple[str, ...] = ()
+        if backend is None or backend == "auto":
+            self._backends = tuple(
+                c.name
+                for c in components("backend", planned=True)
+                if backend == "auto" or c.bitwise_reference
+            )
+            self._backend_token = "auto" if backend == "auto" else ",".join(self._backends)
         else:
             from ..backends import parse_backend
 
-            self._backend_mode, self._pinned = "pinned", parse_backend(backend)
+            self._pinned = parse_backend(backend)
+            name, params = self._pinned
+            self._backend_token = name + (
+                ":" + ",".join(f"{k}={v}" for k, v in params) if params else ""
+            )
         self._winner_prep: PreparedOperand | None = None  # see take_prepared()
 
     @property
     def backend_token(self) -> str:
         """Cache-key component naming the backend search setting, so a
         plan tuned under one backend policy is never served to another
-        (e.g. a ``scipy`` plan to a reference-only engine)."""
-        if self._backend_mode == "auto":
-            return "auto"
-        name, params = self._pinned
-        if not params:
-            return name
-        return name + ":" + ",".join(f"{k}={v}" for k, v in params)
+        (e.g. a ``scipy`` plan to a reference-pinned engine).  The
+        default names its bitwise set, so a host whose scipy fails the
+        bitwise probe never shares plans with one whose scipy passes."""
+        return self._backend_token
 
     @property
     def calibration_epoch(self) -> int:
@@ -490,9 +485,8 @@ class Planner:
         served to each other — and uncalibrated tokens stay
         byte-identical to what earlier releases persisted.
         """
-        kernel_token = "" if self.kernels is None else ":k=" + ",".join(self.kernels)
         return (
-            f"{self.name}:{','.join(self.reorderings)}{kernel_token}:b={self.backend_token}"
+            f"{self.name}:{','.join(self.reorderings)}:b={self.backend_token}"
             + self._calibration_suffix
         )
 
@@ -515,14 +509,13 @@ class Planner:
     # -- shared machinery ------------------------------------------------
     def _candidates(self, A: CSRMatrix) -> list[Candidate]:
         square = A.nrows == A.ncols
-        if self._backend_mode == "auto":
+        if self._pinned is None:
             return default_candidates(
                 square=square,
                 reorderings=self.reorderings,
-                kernels=self.kernels,
-                backends=planner_backends(),
+                backends=self._backends,
             )
-        cands = default_candidates(square=square, reorderings=self.reorderings, kernels=self.kernels)
+        cands = default_candidates(square=square, reorderings=self.reorderings)
         name, params = self._pinned
         if name == "reference":
             return cands
@@ -613,13 +606,10 @@ class Planner:
             res = self.machine.run_clusterwise(prep.Ac, B)
         else:
             res = self._simulate_rowwise(prep.Ar, B)
-        # The kernel's model_speed_factor mirrors the backend one: same
-        # simulated dataflow, faster numeric phase.  The engine's drift
-        # probe applies the identical factors, so an unchanged workload
-        # measures exactly predicted_cost.
+        # The engine's drift probe applies the identical factor, so an
+        # unchanged workload measures exactly predicted_cost.
         return (
             res.time
-            * k_info.model_speed_factor
             * self._backend_factor(cand.backend, kernel=cand.kernel, A=A, params=cand.backend_params),
             prep,
         )
@@ -643,19 +633,19 @@ class Planner:
         Used by policies that pick a candidate outside
         :meth:`_candidates` (the predictor).  Pinned mode applies the
         pinned backend (a pin that cannot execute the chosen kernel is a
-        configuration error); ``auto`` mode picks the planner-ranked
-        backend with the best speed factor — measured when calibrated,
-        the static ``model_speed_factor`` hint otherwise — that supports
-        the kernel: same dataflow, so the factor alone orders the
-        choices (``reference`` wins ties via its rank).
+        configuration error); auto mode picks, among the backends it
+        enumerates, the one with the best speed factor — measured when
+        calibrated, the static ``model_speed_factor`` hint otherwise —
+        that supports the kernel: same dataflow, so the factor alone
+        orders the choices (``reference`` wins ties via its rank).
         """
         from ..backends import backend_supports
 
-        if self._backend_mode == "auto":
+        if self._pinned is None:
             choices = [
                 c
                 for c in components("backend", planned=True)
-                if backend_supports(c.name, (), cand.kernel)
+                if c.name in self._backends and backend_supports(c.name, (), cand.kernel)
             ]
             best = min(
                 choices,
@@ -666,8 +656,6 @@ class Planner:
             )
             if best.name != "reference":
                 return replace_candidate(cand, best.name)
-            return cand
-        if self._backend_mode != "pinned":
             return cand
         name, params = self._pinned
         if not backend_supports(name, params, cand.kernel):
@@ -687,16 +675,12 @@ class Planner:
         baseline: float,
         planning: float,
     ) -> ExecutionPlan:
-        # Kernels with a binned dispatch record their ladder so cached
-        # plans replay the exact same per-bin execution.
-        k_info = get_component("kernel", cand.kernel)
         return ExecutionPlan(
             reordering=cand.reordering,
             clustering=cand.clustering,
             kernel=cand.kernel,
             backend=cand.backend,
             backend_params=cand.backend_params,
-            bin_map=getattr(k_info.factory, "default_bin_map", ()),
             policy=self.name,
             workload=workload,
             fingerprint_key=fp.key,
@@ -741,12 +725,14 @@ class Planner:
         from ..backends import backend_supports
 
         cand = Candidate(plan.reordering, plan.clustering, plan.kernel)
-        if self._backend_mode == "auto":
-            if plan.backend != "reference" and backend_supports(
-                plan.backend, plan.backend_params, plan.kernel
+        if self._pinned is None:
+            if (
+                plan.backend != "reference"
+                and plan.backend in self._backends
+                and backend_supports(plan.backend, plan.backend_params, plan.kernel)
             ):
                 cand = replace_candidate(cand, plan.backend, plan.backend_params)
-        elif self._backend_mode == "pinned":
+        else:
             name, params = self._pinned
             if not backend_supports(name, params, cand.kernel):
                 return None
@@ -913,7 +899,7 @@ class AutotunePlanner(Planner):
         # choice, so the reference baseline leaves the contest (the best
         # measured pinned candidate wins).
         baseline_cand = Candidate("original", None, "rowwise")
-        baseline_contends = self._backend_mode != "pinned"
+        baseline_contends = self._pinned in (None, ("reference", ()))
         measured = []
         for cand in trial_cands:
             if baseline_contends and cand == baseline_cand:
@@ -972,7 +958,7 @@ class PipelinePlanner(Planner):
         cand = Candidate(
             spec.reordering, spec.clustering, spec.kernel, spec.backend, spec.backend_params
         )
-        factor = spec.kernel_info.model_speed_factor * self._backend_factor(
+        factor = self._backend_factor(
             spec.backend, kernel=spec.kernel, A=A, params=spec.backend_params
         )
         return cand, res.time * factor, prep, 0.0

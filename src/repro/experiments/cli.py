@@ -414,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="BACKEND",
         help="execution backend for the engine command: a registered backend name "
         "optionally with parameters (scipy, sharded:workers=2,inner=scipy) or 'auto' "
-        "to let the planner choose (default: reference, the bitwise oracle)",
+        "to let the planner choose among all backends (default: the planner chooses "
+        "among the bitwise ones)",
     )
     parser.add_argument(
         "--calibrate",

@@ -34,8 +34,9 @@ backend.  Under a backend whose registry entry claims
 the product is **bitwise-identical** to ``spgemm_rowwise(A, B)``:
 permutations gather whole rows and the execution preserves per-row
 summation order, so only row placement changes — and is inverted at the
-end.  Non-bitwise backends (``scipy``)
-return the identical sparsity pattern with ``allclose`` values.
+end.  ``scipy`` claims it when its import-time probe measures bit
+identity; a non-bitwise backend returns the identical sparsity pattern
+with ``allclose`` values.
 """
 
 from __future__ import annotations
@@ -432,11 +433,6 @@ class PipelineSpec:
                 params.append((name, float(value) if isinstance(value, (int, float)) else value))
         for name, value in self.reordering_params:
             params.append((name, float(value) if isinstance(value, (int, float)) else value))
-        # Kernels with a binned dispatch (hybrid) record their ladder so
-        # the plan replays the exact same per-bin execution.
-        default_bin_map = getattr(self.kernel_info.factory, "default_bin_map", None)
-        if default_bin_map is not None:
-            overrides.setdefault("bin_map", default_bin_map)
         return ExecutionPlan(
             reordering=self.reordering,
             clustering=self.clustering,

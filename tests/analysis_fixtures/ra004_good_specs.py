@@ -6,6 +6,7 @@ CASES = (
     "original+none+rowwise",
     "rabbit+tiled:tile_cols=128",
     "rcm+fixed:8+rowwise@sharded:workers=2,inner=scipy",
+    "rcm+fixed:8+cluster@sharded:workers=2",
 )
 
 

@@ -342,12 +342,11 @@ def test_end_to_end_drift_triggers_replan_and_plan_switch(gainful_matrix):
     with the re-plan event recorded in EngineStats — and every result
     stays bitwise-identical to the row-wise oracle throughout."""
     A = gainful_matrix
-    # Pin the historical kernel space: the scenario needs the clustered
-    # plan to win so the value perturbation can degrade its profile
-    # (the hybrid kernel's cost is pattern-only and would never drift).
+    # Pin the oracle backend: the scenario needs the clustered plan to
+    # win so the value perturbation can degrade its profile, and the
+    # default space's ``rowwise@scipy`` outranks it.
     eng = SpGEMMEngine(
-        policy="autotune", config=SMALL_CFG, drift_threshold=1.5,
-        kernels=("rowwise", "cluster"),
+        policy="autotune", config=SMALL_CFG, drift_threshold=1.5, backend="reference",
     )
     B0 = perturb_values(A, scale=0.0, seed=0)  # value-twin, same profile
     assert_bitwise_equal(eng.multiply(A, B0), spgemm_rowwise(A, B0))
@@ -408,7 +407,7 @@ def test_no_drift_for_a_pinned_parameterised_backend(monkeypatch, gainful_matrix
     monkeypatch.setenv(INPROCESS_ENV, "1")  # numerics only; pools are covered elsewhere
     A = gainful_matrix
     table = CalibrationTable(
-        entries={f"sharded:workers=2|{k}|s1r1d1": 0.2 for k in ("rowwise", "cluster", "hybrid")}
+        entries={f"sharded:workers=2|{k}|s1r1d1": 0.2 for k in ("rowwise", "cluster")}
     )
     eng = SpGEMMEngine(
         policy="autotune",

@@ -184,12 +184,20 @@ class TestRuleFixtures:
         assert any("requires a clustering" in m for m in messages)
         assert any("is a backend" in m for m in messages)
         assert any("vectorized_magic" in m for m in messages)  # PipelineSpec.parse arg
+        assert any(
+            "backend 'scipy' does not support kernel 'cluster'" in m for m in messages
+        )
+        # A composite runs what its inner backend runs.
+        assert any(
+            "backend 'sharded' does not support kernel 'tiled'" in m for m in messages
+        )
 
     def test_ra004_markdown(self):
         found = _findings("ra004_bad_specs.md", "RA004")
         active = [f for f in found if not f.suppressed]
         assert any("bogus_stage" in f.message for f in active)
         assert any("nosuchbackend" in f.message for f in active)  # fenced block
+        assert any("does not support kernel 'cluster'" in f.message for f in active)
         suppressed = [f for f in found if f.suppressed]
         assert any("not_a_component" in f.message for f in suppressed)
 
@@ -329,15 +337,41 @@ class TestStaticRegistryScan:
             live = {c.name for c in components(kind)}
             assert static_names >= live, (kind, live - static_names)
 
+    def test_backend_kernel_support_matches_live_backends(self):
+        from repro.backends import get_backend, parse_backend
+        from repro.pipeline import components
+
+        uni = load_universe(REPO_ROOT)
+        refs = [c.name for c in components("backend")] + ["sharded:inner=scipy"]
+        for ref in refs:
+            name, params = parse_backend(ref)
+            static = uni.supported_kernels(name, {k: str(v) for k, v in params})
+            live = get_backend(name, params).supported_kernels
+            assert (None if static is None else set(static)) == (
+                None if live is None else set(live)
+            ), ref
+
     def test_static_validation_agrees_with_parse(self):
         from repro.pipeline import PipelineSpec
 
         uni = load_universe(REPO_ROOT)
-        valid = ["rcm+fixed:8+cluster", "original+none+rowwise", "rcm+fixed:8+rowwise@scipy"]
+        valid = [
+            "rcm+fixed:8+cluster",
+            "original+none+rowwise",
+            "rcm+fixed:8+rowwise@scipy",
+            "rcm+fixed:8+cluster@sharded:workers=2",
+        ]
         for text in valid:
             assert validate_spec(text, uni) == []
             PipelineSpec.parse(text)  # and the runtime agrees
-        invalid = ["rcm+nope+cluster", "rcm+fixed:8+cluster+scipy", "rcm+none+cluster"]
+        invalid = [
+            "rcm+nope+cluster",
+            "rcm+fixed:8+cluster+scipy",
+            "rcm+none+cluster",
+            "rcm+fixed:8+cluster@scipy",
+            "rcm+tiled@sharded:inner=scipy",
+            "rcm+fixed:8+hybrid",
+        ]
         for text in invalid:
             assert validate_spec(text, uni), text
             with pytest.raises((KeyError, ValueError)):

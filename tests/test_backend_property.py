@@ -1,7 +1,7 @@
 """Property coverage for the backend axis: every registry-compatible
 (pipeline, backend) pair agrees with ``reference`` — bitwise when the
-backend claims it, allclose on the identical sparsity pattern otherwise
-(scipy)."""
+backend claims it, allclose on the identical sparsity pattern
+otherwise."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,19 @@ from hypothesis import strategies as st
 from repro.backends import backend_supports, execute, get_backend, parse_backend
 from repro.core import CSRMatrix, spgemm_rowwise
 from repro.core.cluster_spgemm import cluster_spgemm
-from repro.core.hybrid_spgemm import DEFAULT_BIN_MAP, row_workloads
 from repro.engine import ExecutionPlan
 from repro.matrices import generators as G
 from repro.pipeline import available_components, enumerate_compatible
+
+def _signed(A, seed):
+    """``A``'s pattern with small signed dyadic values, whose sums
+    cancel exactly, mixed with signed normals over sixteen decades."""
+    rng = np.random.default_rng(seed)
+    dyadic = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], A.nnz)
+    spread = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-8, 8, A.nnz)
+    vals = np.where(rng.random(A.nnz) < 0.9, dyadic, spread)
+    return CSRMatrix(A.indptr, A.indices, vals, A.shape)
+
 
 #: Keep the exhaustive pairing affordable: two reordering families are
 #: enough to cover permuted + natural operands (test_pipeline_exec
@@ -24,9 +33,12 @@ REORDERINGS = ("original", "rcm")
 MATRICES = {
     "web": G.web_graph(180, seed=7),
     "banded": G.banded_random(160, bandwidth=6, fill=0.5, seed=7),
-    # Hub rows past the hybrid kernel's merge/scatter edge: both of its
-    # phases run under every backend.
+    # Skewed rows: a few hubs with hundreds of output nonzeros among
+    # many short rows.
     "rmat_hubs": G.rmat(10, edge_factor=4, seed=7),
+    # Signed operands: exact cancellations (the scipy backend's
+    # restore path) among values spread over sixteen decades.
+    "signed": _signed(G.web_graph(150, seed=11), seed=11),
 }
 
 #: The registry's triples (reference backend) for the swept reorderings.
@@ -36,8 +48,8 @@ BARE_PAIRS = enumerate_compatible(
     square=True, reorderings=REORDERINGS, backends=available_components("backend")
 )
 
-#: Sharding over the non-bitwise inner: a composite's kernel support is
-#: its inner's, so only the row-wise triples run.
+#: Sharding over scipy: a composite's kernel support is its inner's,
+#: so only the row-wise triples run.
 SCIPY_SHARDED = "sharded:inner=scipy"
 
 ALL_PAIRS = BARE_PAIRS + [
@@ -51,12 +63,6 @@ ALL_PAIRS = BARE_PAIRS + [
 REJECTED = [
     (spec, ref) for ref in ("scipy", SCIPY_SHARDED) for spec in TRIPLES if spec.kernel != "rowwise"
 ]
-
-
-def test_sweep_matrices_cover_both_hybrid_phases():
-    edge = DEFAULT_BIN_MAP[0][0]
-    _, ub = row_workloads(MATRICES["rmat_hubs"], MATRICES["rmat_hubs"])
-    assert (ub <= edge).any() and (ub > edge).any()
 
 
 def test_backend_axis_enumerates_every_compatible_pair():

@@ -13,6 +13,7 @@ from repro.backends import (
     get_backend,
     parse_backend,
 )
+from repro.backends.scipy_backend import bitwise_probe
 from repro.core import spgemm_rowwise
 from repro.core.csr import CSRMatrix
 from repro.engine import ExecutionPlan, SpGEMMEngine
@@ -45,7 +46,7 @@ def test_scipy_backend_registered_when_scipy_importable():
     import scipy  # noqa: F401  (the test env has it; skip-free assertion)
 
     info = get_component("backend", "scipy")
-    assert not info.bitwise_reference  # allclose + identical pattern only
+    assert info.bitwise_reference is bitwise_probe()  # measured, not declared
     # scipy runs one dataflow, whatever the kernel is called.
     assert info.supported_kernels == ("rowwise",)
     assert info.model_speed_factor < 1.0
@@ -70,7 +71,7 @@ def test_parse_backend_and_supports():
     # Instance-level compatibility: sharded answers from its inner.
     assert backend_supports("sharded", params, "rowwise")
     assert not backend_supports("sharded", params, "cluster")
-    assert not backend_supports("sharded", params, "hybrid")
+    assert not backend_supports("sharded", params, "tiled")
     assert backend_supports("sharded", (), "cluster")  # inner=reference
     assert not backend_supports("scipy", (), "tiled")
 
@@ -135,7 +136,7 @@ def test_spec_backend_errors():
     with pytest.raises(ValueError, match="support"):
         PipelineSpec.parse("rcm+fixed:8+cluster@scipy")
     with pytest.raises(ValueError, match="support"):
-        PipelineSpec(kernel="hybrid", backend="sharded", backend_params=(("inner", "scipy"),))
+        PipelineSpec(kernel="tiled", backend="sharded", backend_params=(("inner", "scipy"),))
 
 
 def test_spec_with_backend_and_label():
@@ -148,7 +149,8 @@ def test_spec_with_backend_and_label():
     assert spec.label == "rcm+fixed/cluster"
     rows = PipelineSpec.parse("rcm+rowwise")
     assert rows.with_backend("scipy").label.endswith("@scipy")
-    assert spec.bitwise and s2.bitwise and not rows.with_backend("scipy").bitwise
+    assert spec.bitwise and s2.bitwise
+    assert rows.with_backend("scipy").bitwise is bitwise_probe()
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +476,7 @@ def test_sharded_pool_recovers_from_sigkilled_worker(monkeypatch):
 def test_engine_default_backend_stays_bitwise():
     eng = SpGEMMEngine(policy="heuristic")
     assert _bitwise(eng.multiply(A))
-    assert eng.plan_for(A).backend == "reference"
+    assert get_component("backend", eng.plan_for(A).backend).bitwise_reference
 
 
 def test_engine_constructor_backend_pins_every_plan():
@@ -619,8 +621,14 @@ def test_plan_dicts_without_backend_fields_load_as_reference():
     [
         {"backend": "vectorized", "backend_params": []},
         {"clustering": "fixed", "kernel": "cluster", "backend": "scipy", "backend_params": []},
+        {
+            "kernel": "hybrid",
+            "backend": "reference",
+            "backend_params": [],
+            "bin_map": [[512, "merge"], [-1, "scatter"]],
+        },
     ],
-    ids=["vectorized-backend", "cluster@scipy"],
+    ids=["vectorized-backend", "cluster@scipy", "hybrid-kernel"],
 )
 def test_persisted_plan_for_a_retired_pairing_is_a_warned_miss(tmp_path, monkeypatch, retired):
     # No compatibility shim: a plan file naming the deleted backend, or
@@ -646,6 +654,33 @@ def test_persisted_plan_for_a_retired_pairing_is_a_warned_miss(tmp_path, monkeyp
     plan = eng.plan_for(A)
     assert plan.backend in ("reference", "scipy")
     assert plan.backend == "reference" or plan.kernel == "rowwise"
+
+
+def test_persisted_plan_with_an_empty_bin_map_still_hits(tmp_path, monkeypatch):
+    # Plans persisted while the row-bin ladder field existed carry
+    # ``"bin_map": []``; for a kernel that still exists the key is
+    # dropped on load and the entry is an ordinary disk hit.
+    import json
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    SpGEMMEngine(policy="heuristic", backend="auto", persist_plans=True).multiply(A)
+    (path,) = tmp_path.rglob("plan_*.json")
+    envelope = json.loads(path.read_text())
+    assert "bin_map" not in envelope["plan"]
+    envelope["plan"]["bin_map"] = []
+    path.write_text(json.dumps(envelope))
+
+    eng = SpGEMMEngine(policy="heuristic", backend="auto", persist_plans=True)
+    C = eng.multiply(A)
+    assert eng.stats().plans_built == 0 and eng.plan_cache.disk_hits == 1
+    plan = eng.plan_for(A)
+    assert plan.label.endswith("/rowwise@scipy") and plan.bin_map == ()
+    assert C.same_pattern(REF) and C.allclose(REF)
+    with pytest.raises(AttributeError):
+        plan.bin_map = ((512, "merge"),)  # read-only, and no longer a field
+    with pytest.raises(TypeError):
+        ExecutionPlan(reordering="original", clustering=None, kernel="rowwise", bin_map=())
 
 
 def test_plan_rejects_unknown_or_incompatible_backend():
